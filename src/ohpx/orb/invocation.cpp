@@ -289,25 +289,8 @@ CallCore::Selection CallCore::select_for_call(
   return sel;
 }
 
-wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
-                                       wire::Buffer args, CostLedger* ledger,
-                                       bool oneway) {
-  CostLedger local;
-  CostLedger& cost = ledger ? *ledger : local;
-  auto& registry = metrics::MetricsRegistry::global();
-
-  // Pay-when-used profiling: fast-path calls nobody attached a ledger to
-  // skip the fine-grained cost clocks (several steady_clock reads per
-  // call).  The uncached baseline keeps the always-on accounting of the
-  // literal per-request pipeline — it is the fast path's "before" arm.
-  if (!ledger && cacheable_ && cache_enabled_.load(std::memory_order_relaxed)) {
-    local.disable_real_timing();
-  }
-
-  // Mint this call's deadline from the configured budget, tightened
-  // against any ambient deadline (a servant calling downstream spends its
-  // caller's remaining budget, never more).  With no budget and no
-  // ambient deadline this is one relaxed load and one thread-local read.
+template <typename Body>
+decltype(auto) CallCore::in_call_scope(std::uint32_t method_id, Body&& body) {
   std::optional<resilience::DeadlineScope> deadline_scope;
   const std::int64_t budget =
       deadline_budget_ns_.load(std::memory_order_relaxed);
@@ -319,8 +302,7 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   // Root-or-join: a call made outside any trace mints a fresh root (if the
   // sampling decision says so); a call made *inside* one — a servant
   // invoking another object, a delegated hop — joins the ambient trace so
-  // the whole causal chain lands in one tree.  When tracing is inactive
-  // this whole block is one relaxed load.
+  // the whole causal chain lands in one tree.
   std::optional<trace::ContextScope> trace_scope;
   if (trace::TraceSink::active() && !trace::current_context().valid() &&
       trace::should_sample(trace_sampling_, context_.trace_sampling())) {
@@ -329,290 +311,27 @@ wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
   trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");
   call_span.annotate_u64("obj", ref_.object_id());
   call_span.annotate_u64("method", method_id);
-
-  const int max_attempts = max_attempts_now();
-  const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
-  std::optional<resilience::BackoffSchedule> backoff;
-
-  for (int attempt = 0;; ++attempt) {
-    if (resilience::deadline_expired(deadline)) {
-      // The budget bounds the *logical* call, retries and backoff waits
-      // included — an expired budget ends the loop no matter how many
-      // attempts the retry policy would still allow.
-      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-      introspect::FlightRecorder::global().record(
-          introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
-          "budget spent after " + std::to_string(attempt) + " attempt(s)");
-      throw DeadlineExceeded("call deadline exceeded after " +
-                             std::to_string(attempt) + " attempt(s)");
-    }
-
-    const bool use_cache =
-        cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
-
-    trace::Span select_span(trace::SpanKind::selection, "select");
-
-    Selection sel = select_for_call(use_cache, breakers);
-    proto::Protocol* protocol = sel.protocol;
-    const proto::CallTarget* target = &sel.target();
-    metrics::MetricsRegistry::Counter* proto_counter = sel.proto_counter;
-    const std::size_t entry_index = sel.entry_index;
-    const bool served_from_cache = sel.from_cache;
-
-    if (select_span.armed()) {
-      select_span.annotate(served_from_cache ? "cache:hit"
-                           : use_cache       ? "cache:miss"
-                                             : "cache:off");
-      select_span.annotate(protocol->name());
-    }
-    select_span.end();
-
-    wire::MessageHeader header;
-    header.type =
-        oneway ? wire::MessageType::oneway : wire::MessageType::request;
-    header.request_id = context_.next_request_id();
-    header.object_id = ref_.object_id();
-    header.method_or_code = method_id;
-
-    // Propagate the trace over the wire: the current span here is the
-    // rmi.invoke span (the selection span already ended), so server-side
-    // spans parent directly under the client call.
-    if (const trace::TraceContext tctx = trace::TraceSink::active()
-                                             ? trace::current_context()
-                                             : trace::TraceContext{};
-        tctx.valid()) {
-      header.flags |= wire::kFlagTraceContext;
-      header.trace_hi = tctx.trace_hi;
-      header.trace_lo = tctx.trace_lo;
-      header.trace_parent_span = tctx.span_id;
-      header.trace_flags = wire::kTraceFlagSampled;
-    }
-
-    // Propagate the deadline over the wire so the server refuses dispatch
-    // (and servants inherit the budget) once it has passed.
-    if (deadline != resilience::kNoDeadline) {
-      header.flags |= wire::kFlagDeadline;
-      header.deadline_ns = deadline;
-    }
-
-    if (use_cache) {
-      calls_total_->fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Baseline arm: resolve the counter by name on every call, exactly
-      // like the pre-fast-path pipeline.
-      registry.counter_handle(metrics::names::kRmiCalls)
-          ->fetch_add(1, std::memory_order_relaxed);
-    }
-    proto_counter->fetch_add(1, std::memory_order_relaxed);
-
-    // Zero-copy handoff: the protocol works on the caller's buffer in
-    // place.  Only when the protocol destroys the payload (glue) *and* a
-    // retry is still possible do we stash a pristine copy.
-    const bool may_retry = attempt + 1 < max_attempts;
-    wire::Buffer retry_stash;
-    if (may_retry && !protocol->preserves_payload()) {
-      retry_stash = wire::Buffer(args.bytes());
-    }
-
-    proto::ReplyMessage reply;
-    try {
-      reply = protocol->invoke(header, args, *target, cost);
-    } catch (const DeadlineExceeded&) {
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-      throw;
-    } catch (const TransportError& e) {
-      // The channel itself failed: feed the entry's breaker (a tripped
-      // breaker makes the entry inapplicable, so the retry below — or the
-      // next call — fails over to the next table entry).  Backpressure is
-      // the exception: a window-full refusal means the channel is *too*
-      // healthy to keep up, not broken — it must never push a breaker
-      // toward open (it would turn transient overload into failover).
-      if (e.code() == ErrorCode::backpressure) {
-        backpressure_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::backpressure, e.code(), protocol->name());
-      } else if (breakers) {
-        const auto transition = breakers->at(entry_index).on_failure();
-        if (transition == resilience::CircuitBreaker::Transition::opened) {
-          breaker_opened_->fetch_add(1, std::memory_order_relaxed);
-          introspect::FlightRecorder::global().record(
-              introspect::EventKind::breaker_open, e.code(), protocol->name());
-          trace::event("breaker.open", protocol->name());
-          breakers->notify_trip(entry_index);
-        }
-      }
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      // Retry on transient channel faults under the retry policy: a
-      // memoized selection can outlive an endpoint (listener torn down,
-      // context destroyed), and a fresh re-evaluation is exactly what an
-      // uncached call would have done.  Non-retryable errors — capability
-      // denials above all — propagate unchanged, cached or not.
-      if (may_retry && resilience::is_retryable(e.code())) {
-        retries_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::retry, e.code(),
-            "transport fault, re-selecting");
-        trace::event("retry.transport", "cached endpoint gone, re-selecting");
-        wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
-        continue;
-      }
-      throw;
-    } catch (const Error& e) {
-      {
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      // Client-side detection of a damaged exchange — a reply that fails
-      // framing (wire_bad_checksum) or capability verification
-      // (capability_bad_payload) — is as transient as a channel fault: the
-      // re-send is a fresh frame.  Refusals (auth, quota, lease) are
-      // decisions and fall through to the throw.
-      if (may_retry && resilience::is_retryable(e.code())) {
-        retries_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::retry, e.code(), "damaged exchange, re-sending");
-        trace::event("retry.error", to_string(e.code()));
-        wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
-        continue;
-      }
-      throw;
-    }
-
-    // Any reply — even an error reply — proves the channel works; a
-    // half-open breaker closes on it.
-    if (breakers) {
-      const auto transition = breakers->at(entry_index).on_success();
-      if (transition == resilience::CircuitBreaker::Transition::closed) {
-        breaker_closed_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::breaker_close, ErrorCode::ok,
-            protocol->name());
-        trace::event("breaker.close", protocol->name());
-      }
-    }
-
-    if (reply.header.type == wire::MessageType::reply) {
-      if (use_cache) {
-        latency_->record(cost.total());
-      } else {
-        registry.latency_handle(metrics::names::kRmiLatency)
-            ->record(cost.total());
-      }
-      return std::move(reply.payload);
-    }
-
-    std::uint32_t code_raw = 0;
-    std::string message;
-    wire::decode_error_body(reply.payload.view(), code_raw, message);
-    const ErrorCode code = static_cast<ErrorCode>(code_raw);
-    registry.counter_handle(metrics::names::rmi_error(to_string(code)))
-        ->fetch_add(1, std::memory_order_relaxed);
-    if (may_retry && resilience::is_retryable(code)) {
-      {
-        // A failed attempt must never leave its selection memoized (for
-        // stale references the republish that made us stale already
-        // bumped the epoch, but drop the entry explicitly so the retry
-        // always re-selects).
-        sync::LockGuard lock(mutex_);
-        cache_.reset();
-      }
-      retries_->fetch_add(1, std::memory_order_relaxed);
-      introspect::FlightRecorder::global().record(introspect::EventKind::retry,
-                                                  code, "retryable error reply");
-      if (code == ErrorCode::stale_reference) {
-        trace::event("retry.stale_ref", "object migrated, re-resolving");
-        log_debug("orb", "stale reference for object ", ref_.object_id(),
-                  ", re-resolving (attempt ", attempt + 1, ")");
-      } else {
-        trace::event("retry.error_reply", to_string(code));
-        log_debug("orb", "retryable error reply (", to_string(code),
-                  ") for object ", ref_.object_id(), " (attempt ",
-                  attempt + 1, ")");
-      }
-      wait_backoff(backoff, cost);
-      if (!protocol->preserves_payload()) args = std::move(retry_stash);
-      continue;
-    }
-    introspect::FlightRecorder::global().record(introspect::EventKind::error,
-                                                code, message);
-    throw_error(code, message);
-  }
+  return body(deadline, call_span);
 }
 
-Future<wire::Buffer> CallCore::invoke_async_raw(std::uint32_t method_id,
-                                                wire::Buffer args) {
-  AsyncReplyTicket ticket;
-  Future<proto::ReplyMessage> reply =
-      invoke_async_reply(method_id, std::move(args), ticket);
-  return reply.map<wire::Buffer>([ticket](Future<proto::ReplyMessage> settled) {
-    return finish_async_reply(std::move(settled), ticket);
-  });
-}
-
-Future<proto::ReplyMessage> CallCore::invoke_async_reply(
-    std::uint32_t method_id, wire::Buffer args, AsyncReplyTicket& ticket) {
-  // Completion latency is measured submit-to-settlement: start the
-  // ticket's stopwatch before any pipeline work so the recorded value
-  // covers selection, submit and the reactor round-trip.
-  ticket.watch = Stopwatch();
-  ticket.latency = async_latency_;
-  ticket.async_deadline_counter = async_deadline_cancelled_;
-  // Mint the deadline exactly like the sync path: the reactor captures
-  // the ambient value at submit and cancels the future when it passes.
-  std::optional<resilience::DeadlineScope> deadline_scope;
-  const std::int64_t budget =
-      deadline_budget_ns_.load(std::memory_order_relaxed);
-  if (budget > 0) {
-    deadline_scope.emplace(resilience::now_ns() + budget);
-  }
-  const std::int64_t deadline = resilience::current_deadline_ns();
-  if (resilience::deadline_expired(deadline)) {
-    deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded("call deadline exceeded before async submit");
-  }
-
-  // Root-or-join, per call: each async submission stamps its own trace
-  // context into its own header — a thousand in-flight calls are a
-  // thousand distinct wire contexts, not one per flush batch.
-  std::optional<trace::ContextScope> trace_scope;
-  if (trace::TraceSink::active() && !trace::current_context().valid() &&
-      trace::should_sample(trace_sampling_, context_.trace_sampling())) {
-    trace_scope.emplace(trace::mint_root());
-  }
-  trace::Span call_span(trace::SpanKind::invoke, "rmi.invoke");
-  call_span.annotate_u64("obj", ref_.object_id());
-  call_span.annotate_u64("method", method_id);
-  call_span.annotate("async");
-
-  // Selection: the same memoized fast path as the sync pipeline.  Under
-  // fan-in every submission after the first is a cache hit — one atomic
-  // version probe plus the breaker gate — instead of paying a re-resolve,
-  // a table scan, a describe() build and a metric-name lookup per call.
-  const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
-  const bool use_cache =
-      cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
-  Selection sel = select_for_call(use_cache, breakers);
-  proto::Protocol* const protocol = sel.protocol;
-  const proto::CallTarget& target = sel.target();
-  const std::size_t entry_index = sel.entry_index;
-
-  calls_total_->fetch_add(1, std::memory_order_relaxed);
-  sel.proto_counter->fetch_add(1, std::memory_order_relaxed);
-
+// begin_attempt and settle_reply run on every call of both paths; they are
+// defined inline so the sync hot path pays no call for them.
+inline wire::MessageHeader CallCore::begin_attempt(wire::MessageType type,
+                                                   std::uint32_t method_id,
+                                                   std::int64_t deadline,
+                                                   const Selection& sel,
+                                                   bool use_cache) {
   wire::MessageHeader header;
-  header.type = wire::MessageType::request;
+  header.type = type;
   header.request_id = context_.next_request_id();
   header.object_id = ref_.object_id();
   header.method_or_code = method_id;
+
+  // Propagate the trace over the wire: the current span here is the
+  // rmi.invoke span (the selection span already ended), so server-side
+  // spans parent directly under the client call.  Each call stamps its
+  // own context — a thousand in-flight async calls are a thousand wire
+  // contexts, not one per flush batch.
   if (const trace::TraceContext tctx = trace::TraceSink::active()
                                            ? trace::current_context()
                                            : trace::TraceContext{};
@@ -623,60 +342,291 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     header.trace_parent_span = tctx.span_id;
     header.trace_flags = wire::kTraceFlagSampled;
   }
+
+  // Propagate the deadline over the wire so the server refuses dispatch
+  // (and servants inherit the budget) once it has passed.
   if (deadline != resilience::kNoDeadline) {
     header.flags |= wire::kFlagDeadline;
     header.deadline_ns = deadline;
   }
 
-  if (protocol->supports_async()) {
-    Future<proto::ReplyMessage> exchange;
-    try {
-      exchange = protocol->invoke_async(header, args, target);
-    } catch (const TransportError& e) {
-      // Synchronous refusal.  Backpressure never feeds the breaker (the
-      // channel is saturated, not broken); real submit-time faults do.
-      if (e.code() == ErrorCode::backpressure) {
-        backpressure_->fetch_add(1, std::memory_order_relaxed);
-      } else if (breakers) {
-        const auto transition = breakers->at(entry_index).on_failure();
-        if (transition == resilience::CircuitBreaker::Transition::opened) {
-          breaker_opened_->fetch_add(1, std::memory_order_relaxed);
-          trace::event("breaker.open", protocol->name());
-          breakers->notify_trip(entry_index);
-        }
-      }
-      throw;
-    }
-    // The argument buffer was consumed by the (synchronous) frame encode
-    // inside invoke_async; recycle it for the caller's next marshal.
-    wire::BufferPool::local().release(std::move(args));
-    // Settlement-side bookkeeping (breaker feed, error decoding) moves
-    // into the caller's continuation via the ticket — counters live in
-    // the global registry and the breaker set is shared ownership, so the
-    // ticket may outlive this CallCore.
-    ticket.breakers = breakers;
-    ticket.entry_index = entry_index;
-    ticket.deadline_counter = deadline_exceeded_;
-    ticket.expect_request_id = header.request_id;
-    return exchange;
+  if (use_cache) {
+    calls_total_->fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Baseline arm: resolve the counter by name on every call, exactly
+    // like the pre-fast-path pipeline.
+    metrics::MetricsRegistry::global()
+        .counter_handle(metrics::names::kRmiCalls)
+        ->fetch_add(1, std::memory_order_relaxed);
+  }
+  sel.proto_counter->fetch_add(1, std::memory_order_relaxed);
+  return header;
+}
+
+void CallCore::deadline_spent(int attempts) {
+  deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
+  introspect::FlightRecorder::global().record(
+      introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
+      "budget spent after " + std::to_string(attempts) + " attempt(s)");
+  throw DeadlineExceeded("call deadline exceeded after " +
+                         std::to_string(attempts) + " attempt(s)");
+}
+
+void CallCore::on_transport_failure(const TransportError& error,
+                                    resilience::BreakerSet* breakers,
+                                    std::size_t entry_index,
+                                    const proto::Protocol& protocol) {
+  // A window-full refusal means the channel is *too* healthy to keep up,
+  // not broken — it must never push a breaker toward open (it would turn
+  // transient overload into failover).
+  if (error.code() == ErrorCode::backpressure) {
+    backpressure_->fetch_add(1, std::memory_order_relaxed);
+    introspect::FlightRecorder::global().record(
+        introspect::EventKind::backpressure, error.code(), protocol.name());
+    return;
+  }
+  // A tripped breaker makes the entry inapplicable, so the retry — or the
+  // next call — fails over to the next table entry.
+  using Transition = resilience::CircuitBreaker::Transition;
+  if (breakers != nullptr &&
+      breakers->at(entry_index).on_failure() == Transition::opened) {
+    breaker_opened_->fetch_add(1, std::memory_order_relaxed);
+    introspect::FlightRecorder::global().record(
+        introspect::EventKind::breaker_open, error.code(), protocol.name());
+    trace::event("breaker.open", protocol.name());
+    breakers->notify_trip(entry_index);
+  }
+}
+
+inline std::optional<CallCore::ErrorReply> CallCore::settle_reply(
+    const proto::ReplyMessage& reply, resilience::BreakerSet* breakers,
+    std::size_t entry_index, const proto::Protocol& protocol,
+    metrics::LatencyHistogram* latency, Nanoseconds elapsed) {
+  if (breakers != nullptr) note_success(*breakers, entry_index, protocol);
+  if (reply.header.type == wire::MessageType::reply) {
+    latency->record(elapsed);
+    return std::nullopt;
+  }
+  return decode_error_reply(reply);
+}
+
+void CallCore::note_success(resilience::BreakerSet& breakers,
+                            std::size_t entry_index,
+                            const proto::Protocol& protocol) {
+  if (breakers.at(entry_index).on_success() ==
+      resilience::CircuitBreaker::Transition::closed) {
+    breaker_closed_->fetch_add(1, std::memory_order_relaxed);
+    introspect::FlightRecorder::global().record(
+        introspect::EventKind::breaker_close, ErrorCode::ok, protocol.name());
+    trace::event("breaker.close", protocol.name());
+  }
+}
+
+CallCore::ErrorReply CallCore::decode_error_reply(
+    const proto::ReplyMessage& reply) {
+  ErrorReply error;
+  std::uint32_t code_raw = 0;
+  wire::decode_error_body(reply.payload.view(), code_raw, error.message);
+  error.code = static_cast<ErrorCode>(code_raw);
+  metrics::MetricsRegistry::global()
+      .counter_handle(metrics::names::rmi_error(to_string(error.code)))
+      ->fetch_add(1, std::memory_order_relaxed);
+  return error;
+}
+
+void CallCore::raise_error_reply(const ErrorReply& error) {
+  introspect::FlightRecorder::global().record(introspect::EventKind::error,
+                                              error.code, error.message);
+  throw_error(error.code, error.message);
+}
+
+void CallCore::drop_cached_selection() {
+  sync::LockGuard lock(mutex_);
+  cache_.reset();
+}
+
+wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
+                                       wire::Buffer args, CostLedger* ledger,
+                                       bool oneway) {
+  CostLedger local;
+  CostLedger& cost = ledger ? *ledger : local;
+
+  // Pay-when-used profiling: fast-path calls nobody attached a ledger to
+  // skip the fine-grained cost clocks (several steady_clock reads per
+  // call).  The uncached baseline keeps the always-on accounting of the
+  // literal per-request pipeline — it is the fast path's "before" arm.
+  if (!ledger && cacheable_ && cache_enabled_.load(std::memory_order_relaxed)) {
+    local.disable_real_timing();
   }
 
-  // Worker-thread fallback for protocols without an event-driven bearer:
-  // the full synchronous pipeline (retries included, breakers fed, error
-  // replies re-raised) runs on a shared pool thread, with the caller's
-  // deadline and trace context carried across explicitly (thread-ambient
-  // state does not follow the task).  The ticket records that nothing is
-  // left for finish_async_reply() but handing over the payload.
-  ticket.pipeline_complete = true;
-  auto args_holder = std::make_shared<wire::Buffer>(std::move(args));
-  const trace::TraceContext tctx = trace::TraceSink::active()
-                                       ? trace::current_context()
-                                       : trace::TraceContext{};
-  Promise<proto::ReplyMessage> promise;
-  ThreadPool::shared().submit(
-      [this, method_id, args_holder, promise, deadline, tctx]() mutable {
+  return in_call_scope(method_id, [&](std::int64_t deadline,
+                                       trace::Span&) -> wire::Buffer {
+    const int max_attempts = max_attempts_now();
+    const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
+    std::optional<resilience::BackoffSchedule> backoff;
+
+    for (int attempt = 0;; ++attempt) {
+      // The budget bounds the *logical* call, retries and backoff waits
+      // included — an expired budget ends the loop no matter how many
+      // attempts the retry policy would still allow.
+      if (resilience::deadline_expired(deadline)) deadline_spent(attempt);
+
+      const bool use_cache =
+          cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
+
+      trace::Span select_span(trace::SpanKind::selection, "select");
+      Selection sel = select_for_call(use_cache, breakers);
+      proto::Protocol* protocol = sel.protocol;
+      if (select_span.armed()) {
+        select_span.annotate(sel.from_cache ? "cache:hit"
+                             : use_cache    ? "cache:miss"
+                                            : "cache:off");
+        select_span.annotate(protocol->name());
+      }
+      select_span.end();
+
+      const wire::MessageHeader header = begin_attempt(
+          oneway ? wire::MessageType::oneway : wire::MessageType::request,
+          method_id, deadline, sel, use_cache);
+
+      // Zero-copy handoff: the protocol works on the caller's buffer in
+      // place.  Only when the protocol destroys the payload (glue) *and* a
+      // retry is still possible do we stash a pristine copy.
+      const bool may_retry = attempt + 1 < max_attempts;
+      wire::Buffer retry_stash;
+      if (may_retry && !protocol->preserves_payload()) {
+        retry_stash = wire::Buffer(args.bytes());
+      }
+      // Every retry below: count it, flight-record it, wait out the policy
+      // backoff, and restore a payload the protocol consumed.
+      auto prepare_retry = [&](ErrorCode code, std::string_view why) {
+        retries_->fetch_add(1, std::memory_order_relaxed);
+        introspect::FlightRecorder::global().record(
+            introspect::EventKind::retry, code, why);
+        wait_backoff(backoff, cost);
+        if (!protocol->preserves_payload()) args = std::move(retry_stash);
+      };
+
+      proto::ReplyMessage reply;
+      try {
+        reply = protocol->invoke(header, args, sel.target(), cost);
+      } catch (const DeadlineExceeded&) {
+        drop_cached_selection();
+        deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
+        throw;
+      } catch (const TransportError& e) {
+        on_transport_failure(e, breakers.get(), sel.entry_index, *protocol);
+        drop_cached_selection();
+        // Retry on transient channel faults under the retry policy: a
+        // memoized selection can outlive an endpoint (listener torn down,
+        // context destroyed), and a fresh re-evaluation is exactly what an
+        // uncached call would have done.  Non-retryable errors — capability
+        // denials above all — propagate unchanged, cached or not.
+        if (may_retry && resilience::is_retryable(e.code())) {
+          trace::event("retry.transport", "cached endpoint gone, re-selecting");
+          prepare_retry(e.code(), "transport fault, re-selecting");
+          continue;
+        }
+        throw;
+      } catch (const Error& e) {
+        drop_cached_selection();
+        // Client-side detection of a damaged exchange — a reply that fails
+        // framing (wire_bad_checksum) or capability verification
+        // (capability_bad_payload) — is as transient as a channel fault: the
+        // re-send is a fresh frame.  Refusals (auth, quota, lease) are
+        // decisions and fall through to the throw.
+        if (may_retry && resilience::is_retryable(e.code())) {
+          trace::event("retry.error", to_string(e.code()));
+          prepare_retry(e.code(), "damaged exchange, re-sending");
+          continue;
+        }
+        throw;
+      }
+
+      metrics::LatencyHistogram* const latency =
+          use_cache ? latency_
+                    : metrics::MetricsRegistry::global().latency_handle(
+                          metrics::names::kRmiLatency);
+      const std::optional<ErrorReply> error =
+          settle_reply(reply, breakers.get(), sel.entry_index, *protocol,
+                       latency, cost.total());
+      if (!error) return std::move(reply.payload);
+      if (may_retry && resilience::is_retryable(error->code)) {
+        // A failed attempt must never leave its selection memoized (for
+        // stale references the republish that made us stale already bumped
+        // the epoch, but drop the entry explicitly so the retry always
+        // re-selects).
+        drop_cached_selection();
+        if (error->code == ErrorCode::stale_reference) {
+          trace::event("retry.stale_ref", "object migrated, re-resolving");
+          log_debug("orb", "stale reference for object ", ref_.object_id(),
+                    ", re-resolving (attempt ", attempt + 1, ")");
+        } else {
+          trace::event("retry.error_reply", to_string(error->code));
+          log_debug("orb", "retryable error reply (", to_string(error->code),
+                    ") for object ", ref_.object_id(), " (attempt ",
+                    attempt + 1, ")");
+        }
+        prepare_retry(error->code, "retryable error reply");
+        continue;
+      }
+      raise_error_reply(*error);
+    }
+  });
+}
+
+Future<wire::Buffer> CallCore::invoke_async_raw(std::uint32_t method_id,
+                                                wire::Buffer args) {
+  AsyncReplyTicket ticket;
+  Future<proto::ReplyMessage> reply =
+      invoke_async_reply(method_id, std::move(args), ticket);
+  return reply.map<wire::Buffer>(
+      [this, ticket](Future<proto::ReplyMessage> settled) {
+        return finish_async_reply(std::move(settled), ticket);
+      });
+}
+
+Future<proto::ReplyMessage> CallCore::invoke_async_reply(
+    std::uint32_t method_id, wire::Buffer args, AsyncReplyTicket& ticket) {
+  // Completion latency is measured submit-to-settlement: start the
+  // ticket's stopwatch before any pipeline work so the recorded value
+  // covers selection, submit and the reactor round-trip.
+  ticket.watch = Stopwatch();
+  // The reactor captures the ambient deadline at submit and cancels the
+  // future when it passes.
+  return in_call_scope(
+      method_id, [&](std::int64_t deadline,
+                     trace::Span& call_span) -> Future<proto::ReplyMessage> {
+    call_span.annotate("async");
+    if (resilience::deadline_expired(deadline)) deadline_spent(0);
+
+    // Selection: the same memoized fast path as the sync pipeline.  Under
+    // fan-in every submission after the first is a cache hit — one atomic
+    // version probe plus the breaker gate — instead of paying a re-resolve,
+    // a table scan, a describe() build and a metric-name lookup per call.
+    const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
+    const bool use_cache =
+        cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
+    Selection sel = select_for_call(use_cache, breakers);
+    proto::Protocol* const protocol = sel.protocol;
+
+    if (!protocol->supports_async()) {
+      // Worker-thread fallback for protocols without an event-driven
+      // bearer: the full synchronous pipeline (counters, retries, breakers,
+      // error replies) runs on a shared pool thread, with the caller's
+      // deadline and trace context carried across explicitly (thread-ambient
+      // state does not follow the task).  The ticket records that nothing is
+      // left for finish_async_reply() but handing over the payload.
+      ticket.pipeline_complete = true;
+      auto args_holder = std::make_shared<wire::Buffer>(std::move(args));
+      const trace::TraceContext tctx = trace::TraceSink::active()
+                                           ? trace::current_context()
+                                           : trace::TraceContext{};
+      Promise<proto::ReplyMessage> promise;
+      ThreadPool::shared().submit([this, method_id, args_holder, promise,
+                                   deadline, tctx]() mutable {
         try {
-          resilience::DeadlineScope scope(deadline);
+          resilience::DeadlineScope deadline_scope(deadline);
           std::optional<trace::ContextScope> trace_join;
           if (tctx.valid()) trace_join.emplace(tctx);
           proto::ReplyMessage done;
@@ -689,7 +639,27 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
           promise.set_exception(std::current_exception());
         }
       });
-  return promise.future();
+      return promise.future();
+    }
+
+    const wire::MessageHeader header = begin_attempt(
+        wire::MessageType::request, method_id, deadline, sel, use_cache);
+    Future<proto::ReplyMessage> exchange;
+    try {
+      exchange = protocol->invoke_async(header, args, sel.target());
+    } catch (const TransportError& e) {
+      on_transport_failure(e, breakers.get(), sel.entry_index, *protocol);
+      throw;
+    }
+    // The argument buffer was consumed by the (synchronous) frame encode
+    // inside invoke_async; recycle it for the caller's next marshal.
+    wire::BufferPool::local().release(std::move(args));
+    ticket.breakers = breakers;
+    ticket.protocol = protocol;
+    ticket.entry_index = sel.entry_index;
+    ticket.expect_request_id = header.request_id;
+    return exchange;
+  });
 }
 
 wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
@@ -698,50 +668,34 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
   try {
     reply = settled.get();
   } catch (const DeadlineExceeded&) {
-    if (ticket.deadline_counter) {
-      ticket.deadline_counter->fetch_add(1, std::memory_order_relaxed);
+    // The fallback pipeline counted its own deadline miss.
+    if (!ticket.pipeline_complete) {
+      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
     }
-    if (ticket.async_deadline_counter) {
-      ticket.async_deadline_counter->fetch_add(1, std::memory_order_relaxed);
-    }
+    async_deadline_cancelled_->fetch_add(1, std::memory_order_relaxed);
     introspect::FlightRecorder::global().record(
         introspect::EventKind::deadline, ErrorCode::deadline_exceeded,
         "async future cancelled past deadline");
     throw;
   } catch (const TransportError& e) {
-    if (ticket.breakers && e.code() != ErrorCode::backpressure) {
-      const auto transition =
-          ticket.breakers->at(ticket.entry_index).on_failure();
-      if (transition == resilience::CircuitBreaker::Transition::opened) {
-        ticket.breakers->notify_trip(ticket.entry_index);
-      }
+    if (!ticket.pipeline_complete) {
+      on_transport_failure(e, ticket.breakers.get(), ticket.entry_index,
+                           *ticket.protocol);
     }
     throw;
   }
-  // The fallback pipeline already fed breakers and re-raised error
-  // replies; the async bearer hands those duties to this continuation.
   if (ticket.pipeline_complete) {
-    if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
+    async_latency_->record(ticket.watch.elapsed());
     return std::move(reply.payload);
   }
-  // Any reply proves the channel works (even an error reply).
-  if (ticket.breakers) ticket.breakers->at(ticket.entry_index).on_success();
-  if (reply.header.type == wire::MessageType::request) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "request frame received where reply expected");
-  }
-  if (reply.header.request_id != ticket.expect_request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "reply for a different request id");
-  }
-  if (reply.header.type == wire::MessageType::reply) {
-    if (ticket.latency) ticket.latency->record(ticket.watch.elapsed());
-    return std::move(reply.payload);
-  }
-  std::uint32_t code_raw = 0;
-  std::string message;
-  wire::decode_error_body(reply.payload.view(), code_raw, message);
-  throw_error(static_cast<ErrorCode>(code_raw), message);
+  // The reactor's future passed through the protocol unchecked, so the
+  // reply check the sync bearers make falls to this settlement.
+  proto::check_reply(reply.header, ticket.expect_request_id);
+  const std::optional<ErrorReply> error =
+      settle_reply(reply, ticket.breakers.get(), ticket.entry_index,
+                   *ticket.protocol, async_latency_, ticket.watch.elapsed());
+  if (!error) return std::move(reply.payload);
+  raise_error_reply(*error);
 }
 
 std::string CallCore::last_protocol() const {

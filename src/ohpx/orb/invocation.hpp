@@ -74,25 +74,18 @@ class CallCore {
                                         wire::Buffer args);
 
   /// Per-call bookkeeping handed out by invoke_async_reply() and consumed
-  /// by finish_async_reply(): which breaker entry the settlement feeds,
-  /// the deadline-miss counter, and whether the reply already ran the full
-  /// synchronous pipeline (worker-thread fallback — nothing left to do but
-  /// hand over the payload).  Copyable by design: continuations capture it
-  /// by value.
+  /// by finish_async_reply(): which protocol and breaker entry the
+  /// settlement feeds, the request id the reply must echo, and whether the
+  /// reply already ran the full synchronous pipeline (worker-thread
+  /// fallback — nothing left to do but hand over the payload).  Copyable
+  /// by design: continuations capture it by value.
   struct AsyncReplyTicket {
     std::shared_ptr<resilience::BreakerSet> breakers;
+    proto::Protocol* protocol = nullptr;
     std::size_t entry_index = 0;
-    metrics::MetricsRegistry::Counter* deadline_counter = nullptr;
-    /// Async-settlement instrumentation: completion latency (submit to
-    /// settlement) and the deadline-cancellation count, recorded in
-    /// finish_async_reply — the continuation path's equivalents of the
-    /// sync pipeline's kRmiLatency / kRmiDeadlineExceeded bookkeeping.
-    metrics::LatencyHistogram* latency = nullptr;
-    metrics::MetricsRegistry::Counter* async_deadline_counter = nullptr;
-    /// Started at submit (invoke_async_reply resets it on entry).
+    /// Started at submit: the completion latency (submit to settlement)
+    /// recorded into rmi.async.latency.
     Stopwatch watch;
-    /// Request id the reply must echo — the correlation sanity the sync
-    /// pipeline gets from parse_reply_frame, applied at settlement.
     std::uint64_t expect_request_id = 0;
     bool pipeline_complete = false;
   };
@@ -109,10 +102,12 @@ class CallCore {
                                                  wire::Buffer args,
                                                  AsyncReplyTicket& ticket);
 
-  /// Settlement half: breaker bookkeeping, error-reply decoding, payload
-  /// extraction.  Call exactly once, with the settled reply future.
-  static wire::Buffer finish_async_reply(Future<proto::ReplyMessage> settled,
-                                         const AsyncReplyTicket& ticket);
+  /// Settlement half: the reply check and the reply settlement the sync
+  /// pipeline runs too (breaker bookkeeping, error-reply decoding, latency),
+  /// then payload extraction.  Call exactly once, with the settled reply
+  /// future, while this CallCore is alive.
+  wire::Buffer finish_async_reply(Future<proto::ReplyMessage> settled,
+                                  const AsyncReplyTicket& ticket);
 
   const ObjectRef& ref() const noexcept { return ref_; }
   Context& context() noexcept { return context_; }
@@ -176,7 +171,7 @@ class CallCore {
   /// clears it).  Survives set_breaker_config(): the hook is re-applied to
   /// the replacement set.  The installer must clear the hook before any
   /// state it captures dies — async settlement tickets keep the breaker
-  /// set (and therefore the hook) alive past this CallCore.
+  /// set (and therefore the hook) alive until their futures settle.
   void set_breaker_trip_hook(resilience::BreakerSet::TripHook hook);
 
  private:
@@ -228,6 +223,65 @@ class CallCore {
 
   wire::Buffer invoke_internal(std::uint32_t method_id, wire::Buffer args,
                                CostLedger* ledger, bool oneway);
+
+  /// The call prologue both paths run first, around the whole logical
+  /// call: mints this call's deadline from the budget, tightened against
+  /// any ambient deadline (a servant calling downstream spends its
+  /// caller's remaining budget, never more); roots or joins the trace;
+  /// opens the rmi.invoke span; then runs `body(deadline, call_span)`
+  /// inside that scope.  With no budget, no ambient deadline and tracing
+  /// inactive this is one relaxed load per step.
+  template <typename Body>
+  decltype(auto) in_call_scope(std::uint32_t method_id, Body&& body);
+
+  /// Rest of the prologue, once per attempt: builds the request header
+  /// with its trace and deadline extensions and bumps the call counters.
+  wire::MessageHeader begin_attempt(wire::MessageType type,
+                                    std::uint32_t method_id,
+                                    std::int64_t deadline,
+                                    const Selection& sel, bool use_cache);
+
+  /// Throws DeadlineExceeded, counted and flight-recorded: the call's
+  /// deadline passed before attempt `attempts` (callers test
+  /// resilience::deadline_expired first).
+  [[noreturn]] void deadline_spent(int attempts);
+
+  /// The transport-failure handler of both paths.  A backpressure refusal
+  /// is counted and flight-recorded but never feeds a breaker; any other
+  /// fault feeds the entry's breaker, and one that opens it bumps
+  /// rmi.breaker.opened, records the trip and notifies the trip hook.
+  void on_transport_failure(const TransportError& error,
+                            resilience::BreakerSet* breakers,
+                            std::size_t entry_index,
+                            const proto::Protocol& protocol);
+
+  struct ErrorReply {
+    ErrorCode code = ErrorCode::ok;
+    std::string message;
+  };
+
+  /// The reply settlement of both paths, for a reply that passed the reply
+  /// check.  Any reply — even an error reply — proves the channel works,
+  /// so the entry's breaker records a success (closing a half-open one).
+  /// A value reply records `elapsed` into `latency` and yields nothing; an
+  /// error reply is decoded, counted under rmi.errors.<code>, and returned.
+  std::optional<ErrorReply> settle_reply(const proto::ReplyMessage& reply,
+                                         resilience::BreakerSet* breakers,
+                                         std::size_t entry_index,
+                                         const proto::Protocol& protocol,
+                                         metrics::LatencyHistogram* latency,
+                                         Nanoseconds elapsed);
+  // settle_reply's off-hot-path halves.
+  void note_success(resilience::BreakerSet& breakers, std::size_t entry_index,
+                    const proto::Protocol& protocol);
+  static ErrorReply decode_error_reply(const proto::ReplyMessage& reply);
+
+  /// Gives up on an error reply: flight-records it and throws its typed
+  /// exception.
+  [[noreturn]] static void raise_error_reply(const ErrorReply& error);
+
+  /// Forgets the memoized selection: the next attempt re-selects.
+  void drop_cached_selection();
 
   /// Fast-path view of the resolved retry policy: one global-revision probe
   /// revalidates a memoized resolution, so the default-policy hot path

@@ -190,7 +190,7 @@ class ObjectStub {
         core->invoke_async_reply(method_id, std::move(payload), ticket);
     return raw.map<Ret>([core, ticket](Future<proto::ReplyMessage> settled) {
       wire::Buffer reply =
-          CallCore::finish_async_reply(std::move(settled), ticket);
+          core->finish_async_reply(std::move(settled), ticket);
       if constexpr (std::is_void_v<Ret>) {
         wire::BufferPool::local().release(std::move(reply));
       } else {

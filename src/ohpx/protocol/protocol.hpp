@@ -88,15 +88,24 @@ class Protocol {
 using ProtocolPtr = std::unique_ptr<Protocol>;
 
 /// Shared helper for concrete protocols: frames the request, performs the
-/// roundtrip on `channel`, parses and validates the reply frame.
+/// roundtrip on `channel`, parses and checks the reply frame.
 ReplyMessage frame_roundtrip(transport::Channel& channel,
                              const wire::MessageHeader& header,
                              const wire::Buffer& payload, CostLedger& ledger);
 
-/// Parses and validates a raw reply frame (as delivered by the reactor)
-/// against the request it answers: rejects request-typed frames and
-/// request-id mismatches, and copies the body into a pooled buffer.
-ReplyMessage parse_reply_frame(const wire::Buffer& frame,
-                               std::uint64_t expect_request_id);
+/// Throws the ProtocolError naming why `reply` failed check_reply().
+[[noreturn]] void reject_reply(const wire::MessageHeader& reply);
+
+/// The reply check every call passes exactly once, wherever its reply is
+/// decoded: the frame must answer (reply or error), not ask, and must
+/// carry the request id of the call it settles.  Inline: it runs on every
+/// call's hot path.
+inline void check_reply(const wire::MessageHeader& reply,
+                        std::uint64_t expect_request_id) {
+  if (reply.type == wire::MessageType::request ||
+      reply.request_id != expect_request_id) {
+    reject_reply(reply);
+  }
+}
 
 }  // namespace ohpx::proto

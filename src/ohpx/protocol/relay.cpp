@@ -75,10 +75,7 @@ ReplyMessage RelayProtocol::invoke(const wire::MessageHeader& header,
   BytesView body;
   ReplyMessage reply;
   reply.header = wire::decode_frame(reply_frame.view(), body);
-  if (reply.header.request_id != header.request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "relay returned a reply for a different request");
-  }
+  check_reply(reply.header, header.request_id);
   reply.payload = wire::Buffer(body.data(), body.size());
   return reply;
 }

@@ -1,70 +1,23 @@
 #include "ohpx/protocol/tcp_proto.hpp"
 
-#include <atomic>
-
-#include "ohpx/sync/mutex.hpp"
+#include "ohpx/common/error.hpp"
 #include "ohpx/trace/trace.hpp"
 #include "ohpx/transport/reactor.hpp"
-#include "ohpx/wire/buffer_pool.hpp"
 
 namespace ohpx::proto {
-namespace {
-
-std::atomic<bool> g_blocking_fallback{false};
-
-// The reactor already decoded the frame (header, body, CRC) on its loop
-// thread to demultiplex by correlation id — RawReply and ReplyMessage are
-// the same struct, so all that's left is the sanity the blocking path
-// gets from parse_reply_frame: right frame type, right request.
-ReplyMessage validate_reply(ReplyMessage reply,
-                            std::uint64_t expect_request_id) {
-  if (reply.header.type == wire::MessageType::request) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "request frame received where reply expected");
-  }
-  if (reply.header.request_id != expect_request_id) {
-    throw ProtocolError(ErrorCode::protocol_unknown,
-                        "reply for a different request id");
-  }
-  return reply;
-}
-
-}  // namespace
-
-void TcpProtocol::set_blocking_fallback(bool on) noexcept {
-  g_blocking_fallback.store(on, std::memory_order_relaxed);
-}
-
-bool TcpProtocol::blocking_fallback() noexcept {
-  return g_blocking_fallback.load(std::memory_order_relaxed);
-}
 
 bool TcpProtocol::applicable(const CallTarget& target) const {
   return target.address.tcp_port != 0 && !target.address.tcp_host.empty();
 }
 
-std::shared_ptr<transport::TcpChannel> TcpProtocol::channel_for(
-    const std::string& host, std::uint16_t port) {
-  sync::LockGuard lock(mutex_);
-  auto& slot = channels_[{host, port}];
-  if (!slot) {
-    slot = std::make_shared<transport::TcpChannel>(host, port);
-  }
-  return slot;
-}
-
 ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
                                  wire::Buffer& payload,
                                  const CallTarget& target, CostLedger& ledger) {
-  if (blocking_fallback()) {
-    return invoke_blocking(header, payload, target, ledger);
-  }
   // Sync bridge over the reactor: submit, then park on the future.  The
   // reactor throws backpressure/deadline refusals synchronously (before
   // anything is queued) and surfaces wire-level failures through the
-  // future — either way they leave this frame as ordinary exceptions, so
-  // the retry/breaker machinery above sees exactly what it would from a
-  // blocking channel.
+  // future — either way they leave this frame as ordinary exceptions for
+  // the retry/breaker machinery above.
   trace::Span span(trace::SpanKind::transport, "proto.tcp");
   Future<transport::RawReply> future = transport::Reactor::global().submit(
       target.address.tcp_host, target.address.tcp_port, header,
@@ -76,10 +29,10 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
     try {
       raw = future.get();
     } catch (const TransportError& e) {
-      // Same contract as the blocking path: a cached connection gone stale
-      // (server restarted / migrated) fails the call once; retry once and
-      // the reactor re-dials the reaped connection fresh.  Backpressure is
-      // not staleness — it must surface unretried for the caller to pace.
+      // A cached connection gone stale (server restarted / migrated)
+      // fails the call once; retry once and the reactor re-dials the
+      // reaped connection fresh.  Backpressure is not staleness — it must
+      // surface unretried for the caller to pace.
       if (e.code() == ErrorCode::backpressure) throw;
       trace::event("retry.reconnect", "stale tcp connection dropped");
       raw = transport::Reactor::global()
@@ -89,43 +42,22 @@ ReplyMessage TcpProtocol::invoke(const wire::MessageHeader& header,
     }
   }
   ledger.add_bytes_received(raw.frame_size);
-  return validate_reply(std::move(raw), header.request_id);
+  // The reactor already decoded the frame (header, body, CRC) on its loop
+  // thread to demultiplex by correlation id; RawReply *is* ReplyMessage.
+  check_reply(raw.header, header.request_id);
+  return raw;
 }
 
 Future<ReplyMessage> TcpProtocol::invoke_async(
     const wire::MessageHeader& header, wire::Buffer& payload,
     const CallTarget& target) {
-  if (blocking_fallback()) {
-    return Protocol::invoke_async(header, payload, target);  // inline
-  }
-  // RawReply *is* ReplyMessage: the reactor's future passes through with
-  // no map stage — no shared-state allocation, no extra settlement, no
-  // type-erased continuation per call.  Request-id validation happens in
-  // the invocation layer's settlement (CallCore::finish_async_reply).
+  // The reactor's future passes through with no map stage — no
+  // shared-state allocation, no extra settlement, no type-erased
+  // continuation per call.  The reply check happens in the invocation
+  // layer's settlement (CallCore::finish_async_reply).
   return transport::Reactor::global().submit(
       target.address.tcp_host, target.address.tcp_port, header,
       payload.view());
-}
-
-ReplyMessage TcpProtocol::invoke_blocking(const wire::MessageHeader& header,
-                                          wire::Buffer& payload,
-                                          const CallTarget& target,
-                                          CostLedger& ledger) {
-  trace::Span span(trace::SpanKind::transport, "proto.tcp");
-  auto channel = channel_for(target.address.tcp_host, target.address.tcp_port);
-  try {
-    return frame_roundtrip(*channel, header, payload, ledger);
-  } catch (const TransportError&) {
-    trace::event("retry.reconnect", "stale tcp channel dropped");
-    // Connection may be stale (server restarted / migrated).  Drop the
-    // cached channel and retry once on a fresh connection.
-    {
-      sync::LockGuard lock(mutex_);
-      channels_.erase({target.address.tcp_host, target.address.tcp_port});
-    }
-    channel = channel_for(target.address.tcp_host, target.address.tcp_port);
-    return frame_roundtrip(*channel, header, payload, ledger);
-  }
 }
 
 }  // namespace ohpx::proto

@@ -8,16 +8,11 @@
 // blocking-sockets); everything above hands in a path->response callback.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "ohpx/common/annotations.hpp"
-#include "ohpx/sync/mutex.hpp"
+#include "ohpx/transport/tcp.hpp"
 
 namespace ohpx::transport {
 
@@ -32,36 +27,22 @@ struct HttpResponse {
 using HttpHandler = std::function<HttpResponse(const std::string& path)>;
 
 /// Accepting side: binds 127.0.0.1:`port` (0 = ephemeral) and serves each
-/// connection on its own thread — the same shape as TcpListener, tuned for
-/// a handful of concurrent scrapers rather than RPC fan-in.
+/// connection on its own thread — the same Acceptor as TcpListener.
 class HttpListener {
  public:
   HttpListener(std::uint16_t port, HttpHandler handler);
-  ~HttpListener();
-
-  HttpListener(const HttpListener&) = delete;
-  HttpListener& operator=(const HttpListener&) = delete;
 
   /// The actual bound port (useful with port 0).
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return acceptor_.port(); }
 
   /// Stops accepting and joins all threads.  Idempotent.
-  void stop();
+  void stop() { acceptor_.stop(); }
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_finished_locked() OHPX_REQUIRES(workers_mutex_);
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   HttpHandler handler_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  sync::Mutex workers_mutex_{"transport.http.workers"};
-  std::vector<std::thread> workers_ OHPX_GUARDED_BY(workers_mutex_);
-  std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
-  std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
+  Acceptor acceptor_;  // last: its threads run serve_connection
 };
 
 }  // namespace ohpx::transport

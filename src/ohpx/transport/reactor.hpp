@@ -1,7 +1,7 @@
 // Event-driven async TCP transport: one epoll loop (optionally sharded)
 // owns every outbound connection, so a single client thread can keep
-// thousands of calls in flight where the blocking TcpChannel holds exactly
-// one.
+// thousands of calls in flight.  It is the one client-side TCP bearer:
+// proto::TcpProtocol's sync invoke() is a submit + wait on this loop.
 //
 // Shape of the machine (DESIGN-level summary; docs/transport.md has the
 // full walkthrough):
@@ -33,9 +33,8 @@
 //     the future settles with DeadlineExceeded.  A reply racing the
 //     cancellation loses: settlement is once-only (ohpx::Future).
 //
-// The blocking TcpChannel remains the fallback bearer (and the baseline
-// the fan-in benchmark measures against); both speak the same length-
-// prefixed framing against the same TcpListener.
+// Frames are length-prefixed (u32 big-endian) and served by TcpListener
+// (tcp.hpp).
 #pragma once
 
 #include <atomic>

@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "ohpx/common/error.hpp"
 #include "ohpx/common/log.hpp"
-#include "ohpx/resilience/deadline.hpp"
 #include "ohpx/sync/mutex.hpp"
 
 namespace ohpx::transport {
@@ -86,25 +86,6 @@ void write_reply_batch(int fd, std::vector<wire::Buffer>& replies) {
   replies.clear();
 }
 
-/// Returns false on clean EOF at a frame boundary (start == true).
-bool read_full(int fd, std::uint8_t* data, std::size_t size, bool eof_ok) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(ErrorCode::transport_io, "recv");
-    }
-    if (n == 0) {
-      if (eof_ok && got == 0) return false;
-      throw TransportError(ErrorCode::transport_closed,
-                           "connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 in_addr resolve_ipv4(const std::string& host) {
@@ -132,55 +113,11 @@ in_addr resolve_ipv4(const std::string& host) {
   return addr;
 }
 
-// One gather write of length-prefix + frame instead of two sends: without
-// the single syscall, the 4-byte prefix used to go out as its own segment
-// whenever the kernel flushed between the calls, and a short second send
-// (under memory pressure) could interleave with another writer's prefix.
-// TCP_NODELAY stays on (set at connect/accept), so small frames are not
-// delayed waiting for an ACK — this path is the blocking *fallback* bearer;
-// the reactor (reactor.hpp) batches many frames per sendmsg on top of the
-// same framing.
-void tcp_write_frame(int fd, const wire::Buffer& frame) {
-  std::uint8_t len[4];
-  const std::uint32_t size = static_cast<std::uint32_t>(frame.size());
-  len[0] = static_cast<std::uint8_t>(size >> 24);
-  len[1] = static_cast<std::uint8_t>(size >> 16);
-  len[2] = static_cast<std::uint8_t>(size >> 8);
-  len[3] = static_cast<std::uint8_t>(size);
-  iovec iov[2];
-  iov[0].iov_base = len;
-  iov[0].iov_len = sizeof(len);
-  iov[1].iov_base = const_cast<std::uint8_t*>(frame.data());
-  iov[1].iov_len = frame.size();
-  sendmsg_full(fd, iov, frame.size() > 0 ? 2 : 1);
-}
+// ---- Acceptor --------------------------------------------------------------
 
-wire::Buffer tcp_read_frame(int fd) {
-  std::uint8_t len[4];
-  if (!read_full(fd, len, 4, /*eof_ok=*/true)) {
-    throw TransportError(ErrorCode::transport_closed, "connection closed");
-  }
-  const std::size_t size = (static_cast<std::size_t>(len[0]) << 24) |
-                           (static_cast<std::size_t>(len[1]) << 16) |
-                           (static_cast<std::size_t>(len[2]) << 8) |
-                           static_cast<std::size_t>(len[3]);
-  if (size > kMaxFrameSize) {
-    throw TransportError(ErrorCode::transport_io, "frame exceeds size cap");
-  }
-  wire::Buffer frame;
-  frame.resize(size);
-  read_full(fd, frame.data(), size, /*eof_ok=*/false);
-  return frame;
-}
-
-// ---- TcpListener ---------------------------------------------------------
-
-TcpListener::TcpListener(std::uint16_t port, FrameHandler handler)
-    : TcpListener("127.0.0.1", port, std::move(handler)) {}
-
-TcpListener::TcpListener(const std::string& host, std::uint16_t port,
-                         FrameHandler handler)
-    : handler_(std::move(handler)) {
+Acceptor::Acceptor(const std::string& host, std::uint16_t port,
+                   ConnectionHandler serve)
+    : serve_(std::move(serve)) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr = resolve_ipv4(host);  // before socket(): a throw here
@@ -210,9 +147,9 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port,
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-TcpListener::~TcpListener() { stop(); }
+Acceptor::~Acceptor() { stop(); }
 
-void TcpListener::stop() {
+void Acceptor::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) {
     return;  // already stopped
@@ -237,21 +174,21 @@ void TcpListener::stop() {
   }
 }
 
-void TcpListener::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
+void Acceptor::accept_loop() {
+  while (!stopping()) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed
     }
     sync::LockGuard lock(workers_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
+    if (stopping()) {
       ::close(fd);
       break;
     }
     reap_finished_locked();
     open_connections_.insert(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
+    workers_.emplace_back([this, fd] { serve_guarded(fd); });
   }
 }
 
@@ -259,7 +196,7 @@ void TcpListener::accept_loop() {
 // not accumulate one joinable-but-finished thread per past connection.
 // Joining under the lock is safe: a thread registers in finished_ as its
 // last lock-holding act, so the join only waits for its final returns.
-void TcpListener::reap_finished_locked() {
+void Acceptor::reap_finished_locked() {
   for (const std::thread::id id : finished_) {
     const auto it =
         std::find_if(workers_.begin(), workers_.end(),
@@ -272,142 +209,112 @@ void TcpListener::reap_finished_locked() {
   finished_.clear();
 }
 
-void TcpListener::serve_connection(int fd) {
-  // Deregister-and-close exactly once, on *every* exit path.  Before this
-  // guard, an exception that escaped the catch clauses below (anything not
-  // derived from std::exception) unwound past the cleanup block: the fd
-  // stayed in open_connections_ forever — stop() would then shutdown() a
-  // number the kernel had recycled for an unrelated connection — and the
-  // worker thread was never reaped.
+void Acceptor::serve_guarded(int fd) {
+  // Deregister-and-close exactly once, on *every* exit path.  Without
+  // this guard, an exception that escaped the catch clauses below
+  // (anything not derived from std::exception) would unwind past the
+  // cleanup: the fd would stay in open_connections_ forever — stop() would
+  // then shutdown() a number the kernel had recycled for an unrelated
+  // connection — and the worker thread would never be reaped.
   struct ConnectionGuard {
-    TcpListener* listener;
+    Acceptor* acceptor;
     int fd;
     ~ConnectionGuard() {
       {
-        sync::LockGuard lock(listener->workers_mutex_);
-        listener->open_connections_.erase(fd);
-        listener->finished_.push_back(std::this_thread::get_id());
+        sync::LockGuard lock(acceptor->workers_mutex_);
+        acceptor->open_connections_.erase(fd);
+        acceptor->finished_.push_back(std::this_thread::get_id());
       }
       ::close(fd);
     }
   } guard{this, fd};
 
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   try {
-    // Buffered request pipeline: each blocking recv takes whatever burst
-    // the client pipelined, every complete frame in the buffer is
-    // dispatched, and the accumulated replies flush as one gathered
-    // sendmsg before the next blocking read (flushing first is also what
-    // prevents deadlock — the client may be waiting on these replies).
-    // One call at a time still costs one recv + one send, exactly the old
-    // behaviour; a reactor fan-in burst costs two syscalls per *batch*.
-    constexpr std::size_t kReadChunk = 256u << 10;
-    std::vector<std::uint8_t> inbuf;
-    std::vector<wire::Buffer> replies;
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      std::size_t consumed = 0;
-      while (inbuf.size() - consumed >= 4) {
-        const std::uint8_t* p = inbuf.data() + consumed;
-        const std::size_t size = (static_cast<std::size_t>(p[0]) << 24) |
-                                 (static_cast<std::size_t>(p[1]) << 16) |
-                                 (static_cast<std::size_t>(p[2]) << 8) |
-                                 static_cast<std::size_t>(p[3]);
-        if (size > kMaxFrameSize) {
-          throw TransportError(ErrorCode::transport_io,
-                               "frame exceeds size cap");
-        }
-        if (inbuf.size() - consumed - 4 < size) break;
-        wire::Buffer request;
-        request.resize(size);
-        std::memcpy(request.data(), p + 4, size);
-        consumed += 4 + size;
-        replies.push_back(handler_(request));
-      }
-      if (consumed > 0) {
-        inbuf.erase(inbuf.begin(),
-                    inbuf.begin() + static_cast<std::ptrdiff_t>(consumed));
-      }
-      if (!replies.empty()) write_reply_batch(fd, replies);
-
-      const std::size_t old_size = inbuf.size();
-      inbuf.resize(old_size + kReadChunk);
-      const ssize_t n = ::recv(fd, inbuf.data() + old_size, kReadChunk, 0);
-      if (n < 0) {
-        inbuf.resize(old_size);
-        if (errno == EINTR) continue;
-        throw_errno(ErrorCode::transport_io, "recv");
-      }
-      if (n == 0) {
-        if (old_size == 0) break;  // clean EOF at a frame boundary
-        throw TransportError(ErrorCode::transport_closed,
-                             "connection closed mid-frame");
-      }
-      inbuf.resize(old_size + static_cast<std::size_t>(n));
-    }
+    serve_(fd);
   } catch (const TransportError&) {
     // Peer closed or I/O failed; drop the connection quietly.
   } catch (const std::exception& e) {
-    log_warn("tcp", "connection handler error: ", e.what());
+    log_warn("transport", "connection handler error: ", e.what());
   } catch (...) {
-    log_warn("tcp", "connection handler error: non-standard exception");
+    log_warn("transport", "connection handler error: non-standard exception");
   }
 }
 
-// ---- TcpChannel ------------------------------------------------------------
+// ---- TcpListener -----------------------------------------------------------
 
-TcpChannel::TcpChannel(const std::string& host, std::uint16_t port)
-    : host_(host), port_(port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr = resolve_ipv4(host);
-  addr.sin_port = htons(port);
+TcpListener::TcpListener(std::uint16_t port, FrameHandler handler)
+    : TcpListener("127.0.0.1", port, std::move(handler)) {}
 
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) throw_errno(ErrorCode::transport_connect_failed, "socket");
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd_);
-    throw_errno(ErrorCode::transport_connect_failed, "connect");
-  }
+TcpListener::TcpListener(const std::string& host, std::uint16_t port,
+                         FrameHandler handler)
+    : handler_(std::move(handler)),
+      acceptor_(host, port, [this](int fd) { serve_connection(fd); }) {}
+
+void TcpListener::serve_connection(int fd) {
   const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // Buffered request pipeline: each blocking recv takes whatever burst
+  // the client pipelined, every complete frame in the buffer is
+  // dispatched, and the accumulated replies flush as one gathered sendmsg
+  // before the next blocking read (flushing first is also what prevents
+  // deadlock — the client may be waiting on these replies).  One call at
+  // a time costs one recv + one send; a reactor fan-in burst costs two
+  // syscalls per *batch*.
+  //
+  // Bytes [head, tail) of `in` are received but unparsed.  recv() writes
+  // straight into the uninitialised spare space after tail; the unparsed
+  // bytes move to the front only when that space runs short of a chunk,
+  // and the buffer grows only when they fill it (one frame larger than
+  // the buffer).
+  constexpr std::size_t kReadChunk = 256u << 10;  // least room a recv gets
+  std::size_t capacity = 2 * kReadChunk;
+  auto in = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  std::vector<wire::Buffer> replies;
+  while (!acceptor_.stopping()) {
+    while (tail - head >= 4) {
+      const std::uint8_t* p = in.get() + head;
+      const std::size_t size = (static_cast<std::size_t>(p[0]) << 24) |
+                               (static_cast<std::size_t>(p[1]) << 16) |
+                               (static_cast<std::size_t>(p[2]) << 8) |
+                               static_cast<std::size_t>(p[3]);
+      if (size > kMaxFrameSize) {
+        throw TransportError(ErrorCode::transport_io, "frame exceeds size cap");
+      }
+      if (tail - head - 4 < size) break;
+      const wire::Buffer request(p + 4, size);
+      head += 4 + size;
+      replies.push_back(handler_(request));
+    }
+    if (!replies.empty()) write_reply_batch(fd, replies);
 
-TcpChannel::~TcpChannel() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-wire::Buffer TcpChannel::roundtrip(const wire::Buffer& request,
-                                   CostLedger& ledger) {
-  sync::LockGuard lock(io_mutex_);
-  // Honor the ambient deadline on a real socket: refuse a send whose
-  // budget is spent, and bound the reply wait by the remaining budget so
-  // a stuck server cannot hold the caller past its deadline.
-  const std::int64_t deadline = resilience::current_deadline_ns();
-  if (resilience::deadline_expired(deadline)) {
-    throw DeadlineExceeded("deadline exceeded before transport send");
+    if (head == tail) head = tail = 0;
+    if (capacity - tail < kReadChunk) {
+      const std::size_t unparsed = tail - head;
+      if (capacity - unparsed < kReadChunk) {
+        capacity = std::max(2 * capacity, unparsed + kReadChunk);
+        auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+        std::memcpy(grown.get(), in.get() + head, unparsed);
+        in = std::move(grown);
+      } else {
+        std::memmove(in.get(), in.get() + head, unparsed);
+      }
+      head = 0;
+      tail = unparsed;
+    }
+    const ssize_t n = ::recv(fd, in.get() + tail, capacity - tail, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno(ErrorCode::transport_io, "recv");
+    }
+    if (n == 0) {
+      if (tail == head) break;  // clean EOF at a frame boundary
+      throw TransportError(ErrorCode::transport_closed,
+                           "connection closed mid-frame");
+    }
+    tail += static_cast<std::size_t>(n);
   }
-  if (deadline != resilience::kNoDeadline) {
-    const auto remaining = resilience::deadline_remaining(deadline);
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(remaining.count() / 1'000'000'000);
-    tv.tv_usec = static_cast<suseconds_t>((remaining.count() / 1000) % 1'000'000);
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  } else {
-    timeval tv{};  // zero = no timeout
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  ledger.add_bytes_sent(request.size());
-  ScopedRealTime timer(ledger);
-  tcp_write_frame(fd_, request);
-  wire::Buffer reply = tcp_read_frame(fd_);
-  ledger.add_bytes_received(reply.size());
-  return reply;
-}
-
-std::string TcpChannel::describe() const {
-  return "tcp:" + host_ + ":" + std::to_string(port_);
 }
 
 }  // namespace ohpx::transport

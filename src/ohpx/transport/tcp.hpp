@@ -1,16 +1,18 @@
-// Real TCP transport built directly on the POSIX socket API.  Stream
-// framing: u32 big-endian payload length + payload.  This is the
-// "Nexus-based TCP protocol" bearer when running against a real network
-// stack (the benchmark suite instead uses the netsim-timed channel so
-// results are deterministic — see DESIGN.md §2).  Listeners default to
-// loopback but can bind any local interface, which is what lets a World
-// span OS processes and machines (docs/deployment.md).
+// Server side of the real TCP transport, built directly on the POSIX
+// socket API.  Stream framing: u32 big-endian payload length + payload —
+// the framing the reactor (reactor.hpp), the one client-side bearer,
+// speaks.  This is the "Nexus-based TCP protocol" bearer when running
+// against a real network stack (the benchmark suite instead uses the
+// netsim-timed channel so results are deterministic — see DESIGN.md §2).
+// Listeners default to loopback but can bind any local interface, which is
+// what lets a World span OS processes and machines (docs/deployment.md).
 #pragma once
 
 #include <netinet/in.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,63 +30,69 @@ namespace ohpx::transport {
 /// TransportError(transport_connect_failed) for unresolvable hosts.
 in_addr resolve_ipv4(const std::string& host);
 
-/// Accepting side: binds `host`:`port` (port 0 = ephemeral, host "" /
-/// "0.0.0.0" = all interfaces), serves each connection on its own thread,
-/// dispatching frames into `handler`.
+/// The accept path every listener shares: binds and listens on
+/// `host`:`port` (port 0 = ephemeral), runs the accept thread and serves
+/// each connection on its own worker thread through `serve`.  A worker
+/// deregisters and closes its fd on every exit path (a TransportError
+/// escaping `serve` drops the connection quietly, anything else is
+/// logged); finished workers are reaped on the next accept, and stop()
+/// shuts every live connection down so parked workers observe EOF.
+class Acceptor {
+ public:
+  using ConnectionHandler = std::function<void(int fd)>;
+
+  Acceptor(const std::string& host, std::uint16_t port,
+           ConnectionHandler serve);
+  ~Acceptor();
+
+  Acceptor(const Acceptor&) = delete;
+  Acceptor& operator=(const Acceptor&) = delete;
+
+  std::uint16_t port() const noexcept { return port_; }
+  bool stopping() const noexcept {
+    return stopping_.load(std::memory_order_relaxed);
+  }
+
+  /// Stops accepting, shuts live connections down and joins all threads.
+  /// Idempotent.
+  void stop();
+
+ private:
+  void accept_loop();
+  void serve_guarded(int fd);
+  void reap_finished_locked() OHPX_REQUIRES(workers_mutex_);
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  ConnectionHandler serve_;
+  std::atomic<bool> stopping_{false};
+  sync::Mutex workers_mutex_{"transport.acceptor.workers"};
+  std::vector<std::thread> workers_ OHPX_GUARDED_BY(workers_mutex_);
+  std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
+  std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
+  std::thread accept_thread_;  // last: it uses every member above
+};
+
+/// Accepting side of the ORB's TCP bearer: binds `host`:`port` (port 0 =
+/// ephemeral, host "" / "0.0.0.0" = all interfaces), serves each
+/// connection on its own thread, dispatching frames into `handler`.
 class TcpListener {
  public:
   TcpListener(std::uint16_t port, FrameHandler handler);
   TcpListener(const std::string& host, std::uint16_t port,
               FrameHandler handler);
-  ~TcpListener();
-
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
 
   /// The actual bound port (useful with port 0).
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return acceptor_.port(); }
 
   /// Stops accepting and joins all threads.  Idempotent.
-  void stop();
+  void stop() { acceptor_.stop(); }
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_finished_locked() OHPX_REQUIRES(workers_mutex_);
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   FrameHandler handler_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  sync::Mutex workers_mutex_{"transport.tcp.workers"};
-  std::vector<std::thread> workers_ OHPX_GUARDED_BY(workers_mutex_);
-  std::set<int> open_connections_ OHPX_GUARDED_BY(workers_mutex_);
-  std::vector<std::thread::id> finished_ OHPX_GUARDED_BY(workers_mutex_);
+  Acceptor acceptor_;  // last: its threads run serve_connection
 };
-
-/// Connecting side: one persistent connection, one in-flight request at a
-/// time (callers serialize through an internal mutex).
-class TcpChannel final : public Channel {
- public:
-  TcpChannel(const std::string& host, std::uint16_t port);
-  ~TcpChannel() override;
-
-  TcpChannel(const TcpChannel&) = delete;
-  TcpChannel& operator=(const TcpChannel&) = delete;
-
-  wire::Buffer roundtrip(const wire::Buffer& request, CostLedger& ledger) override;
-  std::string describe() const override;
-
- private:
-  int fd_ = -1;
-  std::string host_;
-  std::uint16_t port_;
-  sync::Mutex io_mutex_{"transport.tcp.io"};
-};
-
-/// Frame I/O helpers shared by both sides (exposed for tests).
-void tcp_write_frame(int fd, const wire::Buffer& frame);
-wire::Buffer tcp_read_frame(int fd);
 
 }  // namespace ohpx::transport

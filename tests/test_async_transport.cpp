@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "ohpx/introspect/flight_recorder.hpp"
+#include "ohpx/metrics/metric_names.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
 #include "ohpx/resilience/clock.hpp"
@@ -88,7 +90,7 @@ class ScopedWindow {
   std::size_t previous_;
 };
 
-std::uint64_t counter_value(const char* name) {
+std::uint64_t counter_value(const std::string& name) {
   return metrics::MetricsRegistry::global()
       .counter_handle(name)
       ->load(std::memory_order_relaxed);
@@ -319,6 +321,81 @@ TEST_F(AsyncTransportFixture, AsyncDeadlineCancellationCounted) {
   EXPECT_EQ(histogram->count(), samples_before);
 
   servant->release();
+}
+
+
+// ---- async settlement shares the sync pipeline's bookkeeping --------------
+
+TEST_F(AsyncTransportFixture, AsyncErrorReplyCountedByCode) {
+  EchoStub stub(*client_ctx_, tcp_ref(std::make_shared<EchoServant>()));
+  const std::string counter =
+      metrics::names::rmi_error(to_string(ErrorCode::method_not_found));
+  const std::uint64_t before = counter_value(counter);
+
+  auto future = stub.call_async<std::uint64_t>(/*method_id=*/999);
+  try {
+    future.get();
+    FAIL() << "expected the unknown method to come back as an error reply";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::method_not_found);
+  }
+  EXPECT_EQ(counter_value(counter), before + 1);
+}
+
+TEST_F(AsyncTransportFixture, AsyncSettlementOpeningBreakerIsCounted) {
+  // A foreign reference to a port nothing listens on: the submit queues
+  // fine, the loop's connect fails, and the *settlement* sees the fault.
+  std::uint16_t dead_port = 0;
+  {
+    transport::TcpListener listener(
+        0, [](const wire::Buffer& frame) { return frame; });
+    dead_port = listener.port();
+  }
+  proto::ServerAddress address;
+  address.tcp_host = "127.0.0.1";
+  address.tcp_port = dead_port;
+  proto::ProtoTable table;
+  table.add(proto::ProtocolEntry{"tcp", {}});
+  EchoStub stub(*client_ctx_,
+                orb::ObjectRef(4242, std::string(EchoServant::kTypeName),
+                               address, std::move(table)));
+  resilience::BreakerConfig breaker;
+  breaker.failure_threshold = 1;
+  stub.set_breaker_config(breaker);
+
+  auto& recorder = introspect::FlightRecorder::global();
+  recorder.clear();
+  const std::uint64_t opened_before = counter_value("rmi.breaker.opened");
+
+  auto future = stub.call_async<std::uint64_t>(EchoServant::kPing);
+  EXPECT_THROW(future.get(), TransportError);
+
+  EXPECT_EQ(stub.breaker_state(0), resilience::CircuitBreaker::State::open);
+  EXPECT_EQ(counter_value("rmi.breaker.opened"), opened_before + 1);
+  const auto records = recorder.snapshot();
+  EXPECT_EQ(std::count_if(records.begin(), records.end(),
+                          [](const introspect::FlightRecorder::Record& r) {
+                            return r.kind ==
+                                   introspect::EventKind::breaker_open;
+                          }),
+            1);
+}
+
+TEST_F(AsyncTransportFixture, PoolFallbackCountsOneCall) {
+  // shm has no event-driven bearer: call_async runs the sync pipeline on a
+  // worker thread, and that pipeline alone counts the call.
+  orb::Context& local_ctx = world_.create_context(m_client_);
+  EchoStub stub(*client_ctx_,
+                orb::RefBuilder(local_ctx, std::make_shared<EchoServant>())
+                    .shm()
+                    .build());
+  const std::uint64_t calls_before = counter_value("rmi.calls");
+  const std::uint64_t shm_before = counter_value("rmi.calls.shm");
+
+  EXPECT_EQ(stub.call_async<std::uint64_t>(EchoServant::kPing).get(), 1u);
+
+  EXPECT_EQ(counter_value("rmi.calls"), calls_before + 1);
+  EXPECT_EQ(counter_value("rmi.calls.shm"), shm_before + 1);
 }
 
 }  // namespace

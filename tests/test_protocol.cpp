@@ -14,6 +14,7 @@
 #include "ohpx/protocol/select.hpp"
 #include "ohpx/protocol/shm.hpp"
 #include "ohpx/protocol/tcp_proto.hpp"
+#include "ohpx/transport/tcp.hpp"
 #include "ohpx/wire/serialize.hpp"
 
 namespace ohpx::proto {
@@ -330,6 +331,26 @@ TEST(Glue, DescribeShowsChainAndDelegate) {
   EXPECT_EQ(glue.describe(), "glue[quota]->recording");
 }
 
+// ---- the reply check -------------------------------------------------------------------
+
+TEST(ReplyCheck, AcceptsOnlyAnAnswerToTheSameRequest) {
+  wire::MessageHeader reply;
+  reply.type = wire::MessageType::reply;
+  reply.request_id = 7;
+  EXPECT_NO_THROW(check_reply(reply, 7));
+  reply.type = wire::MessageType::error_reply;
+  EXPECT_NO_THROW(check_reply(reply, 7));
+
+  try {
+    check_reply(reply, 8);
+    FAIL() << "a reply to another request must be refused";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::protocol_unknown);
+  }
+  reply.type = wire::MessageType::request;
+  EXPECT_THROW(check_reply(reply, 7), ProtocolError);
+}
+
 // ---- tcp protocol reconnect ------------------------------------------------------------
 
 TEST(TcpProtocolRecovery, ReconnectsAfterServerRestart) {
@@ -358,7 +379,7 @@ TEST(TcpProtocolRecovery, ReconnectsAfterServerRestart) {
   auto reply = tcp.invoke(header, first_payload, target, ledger);
   EXPECT_EQ(reply.payload.size(), 2u);
 
-  // Restart the server on the same port; the cached channel is now dead.
+  // Restart the server on the same port; the cached connection is now dead.
   first.reset();
   transport::TcpListener second(port, echo_handler);
 

@@ -1,14 +1,22 @@
 // Unit tests for the transport layer: endpoint registry, in-process
 // channel, simulated-network channel cost accounting, and the real TCP
-// listener/channel pair (loopback sockets).
+// listener over loopback sockets (driven by a framed test client and by
+// the reactor).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ohpx/transport/inproc.hpp"
+#include "ohpx/transport/reactor.hpp"
 #include "ohpx/transport/sim.hpp"
 #include "ohpx/transport/tcp.hpp"
+#include "ohpx/wire/message.hpp"
 
 namespace ohpx::transport {
 namespace {
@@ -127,26 +135,117 @@ TEST(SimChannelTest, LinkProviderReevaluatedPerCall) {
 
 // ---- real TCP ---------------------------------------------------------------------------
 
+// Test-local blocking client speaking the listener's stream framing (u32
+// big-endian length + frame), one request in flight — enough to drive
+// TcpListener with raw byte handlers.  The ORB's own bearer is the
+// reactor, exercised below through Reactor::global().submit.
+class FramedClient {
+ public:
+  FramedClient(const std::string& host, std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr = resolve_ipv4(host);
+    addr.sin_port = htons(port);
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0 ||
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      if (fd_ >= 0) ::close(fd_);
+      throw TransportError(ErrorCode::transport_connect_failed, "connect");
+    }
+  }
+  ~FramedClient() { ::close(fd_); }
+  FramedClient(const FramedClient&) = delete;
+  FramedClient& operator=(const FramedClient&) = delete;
+
+  wire::Buffer roundtrip(const wire::Buffer& request) {
+    // Prefix and frame leave in one send: two small writes would wait out
+    // Nagle against the server's delayed ACK on every roundtrip.
+    const std::uint32_t size = static_cast<std::uint32_t>(request.size());
+    std::vector<std::uint8_t> out = {
+        static_cast<std::uint8_t>(size >> 24),
+        static_cast<std::uint8_t>(size >> 16),
+        static_cast<std::uint8_t>(size >> 8), static_cast<std::uint8_t>(size)};
+    out.insert(out.end(), request.data(), request.data() + request.size());
+    send_all(out.data(), out.size());
+    std::uint8_t len[4];
+    recv_all(len, sizeof(len));
+    wire::Buffer reply;
+    reply.resize((static_cast<std::size_t>(len[0]) << 24) |
+                 (static_cast<std::size_t>(len[1]) << 16) |
+                 (static_cast<std::size_t>(len[2]) << 8) | len[3]);
+    recv_all(reply.data(), reply.size());
+    return reply;
+  }
+
+ private:
+  void send_all(const std::uint8_t* data, std::size_t size) {
+    while (size > 0) {
+      const ssize_t n = ::send(fd_, data, size, MSG_NOSIGNAL);
+      if (n <= 0) throw TransportError(ErrorCode::transport_io, "send");
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    }
+  }
+  void recv_all(std::uint8_t* data, std::size_t size) {
+    while (size > 0) {
+      const ssize_t n = ::recv(fd_, data, size, 0);
+      if (n <= 0) throw TransportError(ErrorCode::transport_closed, "recv");
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    }
+  }
+
+  int fd_ = -1;
+};
+
+// Wire-frame handler for reactor-driven tests: replies to each request
+// with its own body, echoing the correlation id the reactor demuxes on.
+wire::Buffer frame_echo(const wire::Buffer& frame) {
+  BytesView body;
+  const wire::MessageHeader request = wire::decode_frame(frame.view(), body);
+  wire::MessageHeader reply;
+  reply.type = wire::MessageType::reply;
+  reply.request_id = request.request_id;
+  if (request.has_correlation()) {
+    reply.flags |= wire::kFlagCorrelation;
+    reply.correlation_id = request.correlation_id;
+  }
+  return wire::encode_frame(reply, body);
+}
+
 TEST(TcpTest, RoundTripOverLoopback) {
   TcpListener listener(0, upper_caser());
   ASSERT_GT(listener.port(), 0);
 
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
-  wire::Buffer reply = channel.roundtrip(make_payload("hello tcp"), ledger);
-  EXPECT_EQ(reply.bytes(), bytes_of("HELLO TCP"));
-  EXPECT_GT(ledger.real().count(), 0);
-  EXPECT_EQ(ledger.bytes_sent(), 9u);
+  FramedClient client("127.0.0.1", listener.port());
+  EXPECT_EQ(client.roundtrip(make_payload("hello tcp")).bytes(),
+            bytes_of("HELLO TCP"));
+}
+
+TEST(TcpTest, ReactorRoundTripOverLoopback) {
+  TcpListener listener(0, frame_echo);
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = 42;
+  const wire::Buffer body = make_payload("via reactor");
+  RawReply reply = Reactor::global()
+                       .submit("127.0.0.1", listener.port(), header,
+                               body.view())
+                       .get();
+  EXPECT_EQ(reply.header.type, wire::MessageType::reply);
+  EXPECT_EQ(reply.header.request_id, 42u);
+  EXPECT_EQ(reply.payload.bytes(), bytes_of("via reactor"));
 }
 
 TEST(TcpTest, LargeFrames) {
   TcpListener listener(0, [](const wire::Buffer& request) { return request; });
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
+  FramedClient client("127.0.0.1", listener.port());
 
   std::string big(4 * 1024 * 1024, 'z');
-  wire::Buffer reply = channel.roundtrip(make_payload(big), ledger);
+  big[12345] = 'a';  // a frame spanning many reads arrives intact
+  const wire::Buffer reply = client.roundtrip(make_payload(big));
   EXPECT_EQ(reply.size(), big.size());
+  EXPECT_EQ(reply.bytes(), make_payload(big).bytes());
 }
 
 TEST(TcpTest, SequentialRequestsOnOneConnection) {
@@ -155,10 +254,10 @@ TEST(TcpTest, SequentialRequestsOnOneConnection) {
     ++served;
     return request;
   });
-  TcpChannel channel("127.0.0.1", listener.port());
-  CostLedger ledger;
+  FramedClient client("127.0.0.1", listener.port());
   for (int i = 0; i < 50; ++i) {
-    channel.roundtrip(make_payload("ping"), ledger);
+    const std::string text = "ping-" + std::to_string(i);
+    EXPECT_EQ(client.roundtrip(make_payload(text)).bytes(), bytes_of(text));
   }
   EXPECT_EQ(served.load(), 50);
 }
@@ -172,10 +271,9 @@ TEST(TcpTest, ConcurrentClients) {
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([port, &failures] {
       try {
-        TcpChannel channel("127.0.0.1", port);
-        CostLedger ledger;
+        FramedClient client("127.0.0.1", port);
         for (int i = 0; i < 20; ++i) {
-          if (channel.roundtrip(make_payload("abc"), ledger).bytes() !=
+          if (client.roundtrip(make_payload("abc")).bytes() !=
               bytes_of("ABC")) {
             ++failures;
           }
@@ -193,13 +291,14 @@ TEST(TcpTest, ConnectToDeadPortFails) {
   // Grab an ephemeral port, then close the listener so nothing listens.
   std::uint16_t dead_port;
   {
-    TcpListener listener(0, upper_caser());
+    TcpListener listener(0, frame_echo);
     dead_port = listener.port();
   }
+  wire::MessageHeader header;
+  header.type = wire::MessageType::request;
+  header.request_id = 7;
   try {
-    TcpChannel channel("127.0.0.1", dead_port);
-    CostLedger ledger;
-    channel.roundtrip(make_payload("x"), ledger);
+    Reactor::global().submit("127.0.0.1", dead_port, header, BytesView()).get();
     FAIL() << "expected connect failure";
   } catch (const TransportError& e) {
     EXPECT_TRUE(e.code() == ErrorCode::transport_connect_failed ||
@@ -209,7 +308,8 @@ TEST(TcpTest, ConnectToDeadPortFails) {
 }
 
 TEST(TcpTest, BadAddressRejected) {
-  EXPECT_THROW(TcpChannel("not-an-ip", 1234), TransportError);
+  EXPECT_THROW(resolve_ipv4("not-an-ip"), TransportError);
+  EXPECT_THROW(TcpListener("not-an-ip", 0, upper_caser()), TransportError);
 }
 
 TEST(TcpTest, ListenerStopIsIdempotent) {
@@ -220,14 +320,13 @@ TEST(TcpTest, ListenerStopIsIdempotent) {
 
 TEST(TcpTest, ServerStopClosesClients) {
   auto listener = std::make_unique<TcpListener>(0, upper_caser());
-  TcpChannel channel("127.0.0.1", listener->port());
-  CostLedger ledger;
-  channel.roundtrip(make_payload("a"), ledger);
+  FramedClient client("127.0.0.1", listener->port());
+  EXPECT_EQ(client.roundtrip(make_payload("a")).bytes(), bytes_of("A"));
   listener.reset();  // server goes away
   EXPECT_THROW(
       {
-        channel.roundtrip(make_payload("b"), ledger);
-        channel.roundtrip(make_payload("c"), ledger);
+        client.roundtrip(make_payload("b"));
+        client.roundtrip(make_payload("c"));
       },
       TransportError);
 }
@@ -242,15 +341,12 @@ TEST(TcpTest, HandlerExceptionDropsConnectionOnly) {
   });
 
   {
-    TcpChannel first("127.0.0.1", listener.port());
-    CostLedger ledger;
-    EXPECT_THROW(first.roundtrip(make_payload("x"), ledger), TransportError);
+    FramedClient first("127.0.0.1", listener.port());
+    EXPECT_THROW(first.roundtrip(make_payload("x")), TransportError);
   }
   // A fresh connection still works.
-  TcpChannel second("127.0.0.1", listener.port());
-  CostLedger ledger;
-  EXPECT_EQ(second.roundtrip(make_payload("ok"), ledger).bytes(),
-            bytes_of("ok"));
+  FramedClient second("127.0.0.1", listener.port());
+  EXPECT_EQ(second.roundtrip(make_payload("ok")).bytes(), bytes_of("ok"));
 }
 
 }  // namespace

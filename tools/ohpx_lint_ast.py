@@ -24,9 +24,10 @@ Rules:
                      above transport.  A lock held across a network
                      roundtrip serializes the caller on a peer's latency
                      — copy what you need under the lock, drop it, then
-                     send.  src/ohpx/transport/ itself is exempt: a
-                     channel serializing its own fd (TcpChannel::io_mutex_)
-                     is that lock's entire point.
+                     send.  src/ohpx/transport/ itself is exempt: the
+                     reactor flushes a connection under its shard mutex
+                     (Reactor::Shard::mutex), the lock that guards that
+                     connection's queue and fd.
   blocking-socket    global-scope blocking socket syscalls (::connect,
                      ::send, ::recv, ::read, ::write, ::accept, ::poll,
                      ::select, ::writev, ::sendmsg, ...) are banned
