@@ -2,11 +2,15 @@
 // cache buys on the cheapest real call the runtime can make (same-machine
 // shm ping through a three-entry protocol table, the Figure 3 shape).
 //
-// Two arms over the identical world:
+// Two arms over the identical world and object:
 //   cache off — the paper's literal rule: every call re-resolves the
-//               location and re-scans the table (the seed behaviour);
+//               location and re-scans the table.  Its reference carries
+//               the same table plus one bench-local tail entry that never
+//               applies and reports applicability_is_stable() == false,
+//               so the ORB never caches it — the per-call re-selection a
+//               relay reference takes;
 //   cache on  — the memoized selection revalidated against the location
-//               epoch and pool generation (the default).
+//               epoch and pool generation (every other reference).
 // Reported per arm: sustained calls/sec plus per-call p50/p99 latency
 // sampled with a monotonic clock around each invocation.
 //
@@ -24,6 +28,7 @@
 #include "ohpx/capability/builtin/authentication.hpp"
 #include "ohpx/metrics/metrics.hpp"
 #include "ohpx/orb/ref_builder.hpp"
+#include "ohpx/protocol/registry.hpp"
 #include "ohpx/runtime/world.hpp"
 #include "ohpx/scenario/echo.hpp"
 
@@ -50,9 +55,34 @@ double percentile(std::vector<double>& samples, double q) {
   return samples[rank];
 }
 
+// The control arm's tail entry: never applicable, and unstable, so a
+// reference carrying it is never cached.  Selection never reaches it (shm
+// wins first), so it adds no per-call work of its own.
+class NeverCachedProtocol final : public proto::Protocol {
+ public:
+  static constexpr const char* kName = "fastpath-never-cached";
+  std::string_view name() const noexcept override { return kName; }
+  bool applicable(const proto::CallTarget&) const override { return false; }
+  bool applicability_is_stable() const noexcept override { return false; }
+  proto::ReplyMessage invoke(const wire::MessageHeader&, wire::Buffer&,
+                             const proto::CallTarget&, CostLedger&) override {
+    throw ProtocolError(ErrorCode::protocol_no_match, "never applicable");
+  }
+};
+
+orb::ObjectRef never_cached(const orb::ObjectRef& ref) {
+  proto::ProtocolRegistry::instance().register_factory(
+      NeverCachedProtocol::kName, [](const proto::ProtocolEntry&) {
+        return std::make_unique<NeverCachedProtocol>();
+      });
+  proto::ProtoTable table = ref.table();
+  table.add(proto::ProtocolEntry{NeverCachedProtocol::kName, {}});
+  return orb::ObjectRef(ref.object_id(), ref.type_name(), ref.home(),
+                        std::move(table));
+}
+
 Arm run_arm(scenario::EchoPointer& gp, bool cache_on, std::size_t warmup,
             std::size_t iterations) {
-  gp->set_selection_cache(cache_on);
   for (std::size_t i = 0; i < warmup; ++i) gp->ping();
 
   auto& registry = metrics::MetricsRegistry::global();
@@ -119,10 +149,11 @@ int run(int argc, char** argv) {
           .shm()
           .nexus()
           .build();
-  scenario::EchoPointer gp(client_ctx, ref);
+  scenario::EchoPointer cached(client_ctx, ref);
+  scenario::EchoPointer uncached(client_ctx, never_cached(ref));
 
-  Arm off = run_arm(gp, /*cache_on=*/false, warmup, iterations);
-  Arm on = run_arm(gp, /*cache_on=*/true, warmup, iterations);
+  Arm off = run_arm(uncached, /*cache_on=*/false, warmup, iterations);
+  Arm on = run_arm(cached, /*cache_on=*/true, warmup, iterations);
   const double speedup =
       off.calls_per_sec > 0.0 ? on.calls_per_sec / off.calls_per_sec : 0.0;
 

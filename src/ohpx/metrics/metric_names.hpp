@@ -6,9 +6,9 @@
 // break silently when one drifts.  ohpx-lint's AST tier
 // (tools/ohpx_lint_ast.py, rule metric-names) bans raw metric-name string
 // literals at registry call sites anywhere in src/ outside this header —
-// every counter_handle()/latency_handle()/increment()/record_latency()/
-// ScopedLatency site must reach its name through these constants or the
-// derived-name helpers below.
+// every counter_handle()/latency_handle()/increment()/record_latency()
+// site must reach its name through these constants or the derived-name
+// helpers below.
 //
 // Two kinds of names live here:
 //   - fixed names (`k...` constants): one series each;

@@ -20,16 +20,12 @@ std::size_t bucket_for(Nanoseconds duration) noexcept {
   return bucket;
 }
 
-std::atomic<bool> g_deep_timing{false};
-
 }  // namespace
 
-bool deep_timing_enabled() noexcept {
-  return g_deep_timing.load(std::memory_order_relaxed);
-}
+std::atomic<bool> detail::deep_timing{false};
 
 void enable_deep_timing() noexcept {
-  g_deep_timing.store(true, std::memory_order_relaxed);
+  detail::deep_timing.store(true, std::memory_order_relaxed);
 }
 
 void LatencyHistogram::record(Nanoseconds duration) noexcept {

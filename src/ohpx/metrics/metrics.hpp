@@ -73,14 +73,19 @@ struct MetricsSnapshot {
 };
 
 /// Deep-timing arming for instrumentation the hot path cannot absorb by
-/// default (the server dispatch timers behind the per-context latency
-/// series the exporter and ohpx-top render: two clock reads per
-/// dispatch).  Mirrors the tracing cost contract in
-/// docs/observability.md — disarmed, each gated site is one relaxed
-/// load and a branch.  Arming is sticky and process-wide; the
+/// default (the DeepTimer sites: the client's rmi.latency and the server
+/// dispatch timers behind the per-context latency series the exporter and
+/// ohpx-top render, two clock reads each).  Mirrors the tracing cost
+/// contract in docs/observability.md — disarmed, each gated site is one
+/// relaxed load and a branch.  Arming is sticky and process-wide; the
 /// introspection plane arms it when an exporter is constructed or an
 /// exposition is rendered.
-bool deep_timing_enabled() noexcept;
+namespace detail {
+extern std::atomic<bool> deep_timing;
+}
+inline bool deep_timing_enabled() noexcept {
+  return detail::deep_timing.load(std::memory_order_relaxed);
+}
 void enable_deep_timing() noexcept;
 
 class MetricsRegistry {
@@ -122,25 +127,32 @@ class MetricsRegistry {
 /// per line) — the "show me what the ORB did" report for examples/tools.
 std::string format_snapshot(const MetricsSnapshot& snapshot);
 
-/// RAII latency sample.  The histogram handle is resolved at construction
-/// (one map lookup before the timed region), so the destructor is a pure
-/// record() — no per-call string lookup while the clock is running, and
-/// callers holding an interned handle skip the lookup entirely.
-class ScopedLatency {
+/// Deep-timing latency sample: one clock-read pair, armed only while deep
+/// timing is on.  Disarmed, construction is one relaxed load and a branch
+/// and record() records nothing.  The caller picks where the sample ends:
+/// record() on every exit of a region, or only on its success path.
+class DeepTimer {
  public:
-  ScopedLatency(MetricsRegistry& registry, const std::string& name)
-      : histogram_(registry.latency_handle(name)) {}
-  explicit ScopedLatency(LatencyHistogram* histogram)
-      : histogram_(histogram) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    if (histogram_ != nullptr) histogram_->record(watch_.elapsed());
+  DeepTimer() noexcept : armed_(deep_timing_enabled()) {
+    if (armed_) start_ = std::chrono::steady_clock::now();
+  }
+
+  bool armed() const noexcept { return armed_; }
+
+  /// Records the time since construction into `histogram`, and into
+  /// `also` when non-null, from one clock read.
+  void record(LatencyHistogram* histogram,
+              LatencyHistogram* also = nullptr) const noexcept {
+    if (!armed_) return;
+    const auto elapsed = std::chrono::duration_cast<Nanoseconds>(
+        std::chrono::steady_clock::now() - start_);
+    histogram->record(elapsed);
+    if (also != nullptr) also->record(elapsed);
   }
 
  private:
-  LatencyHistogram* histogram_;
-  Stopwatch watch_;
+  bool armed_;
+  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace ohpx::metrics

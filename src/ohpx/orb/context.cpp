@@ -18,39 +18,6 @@ std::atomic<ContextId> g_next_context_id{1};
 std::atomic<ObjectId> g_next_object_id{1};
 std::atomic<std::uint32_t> g_next_glue_id{1};
 
-// Bumps the per-context request counter and samples dispatch wall time
-// into the aggregate and per-context histograms with one clock-read
-// pair — and only when the introspection plane armed deep timing
-// (metrics::enable_deep_timing): the disarmed constructor is a relaxed
-// load and a branch, so the invocation fast path keeps its measured
-// cost with no exporter in the process.
-class DispatchTimer {
- public:
-  DispatchTimer(metrics::MetricsRegistry::Counter* ctx_requests,
-                metrics::LatencyHistogram* aggregate,
-                metrics::LatencyHistogram* per_context) noexcept {
-    if (metrics::deep_timing_enabled()) {
-      ctx_requests->fetch_add(1, std::memory_order_relaxed);
-      aggregate_ = aggregate;
-      per_context_ = per_context;
-      watch_.emplace();
-    }
-  }
-  DispatchTimer(const DispatchTimer&) = delete;
-  DispatchTimer& operator=(const DispatchTimer&) = delete;
-  ~DispatchTimer() {
-    if (!watch_.has_value()) return;
-    const Nanoseconds elapsed = watch_->elapsed();
-    aggregate_->record(elapsed);
-    per_context_->record(elapsed);
-  }
-
- private:
-  metrics::LatencyHistogram* aggregate_ = nullptr;
-  metrics::LatencyHistogram* per_context_ = nullptr;
-  std::optional<Stopwatch> watch_;
-};
-
 }  // namespace
 
 ContextId Context::allocate_id() noexcept {
@@ -239,36 +206,21 @@ wire::Buffer Context::handle_frame(const wire::Buffer& frame) noexcept {
   // same cost contract tracing keeps (docs/observability.md).  Latency
   // covers decode + route + servant, error paths included — two
   // histograms from a single clock-read pair.
-  DispatchTimer dispatch_timer(ctx_requests_counter_, dispatch_latency_,
-                               ctx_dispatch_latency_);
-  try {
-    return handle_frame_or_throw(frame);
-  } catch (const Error& e) {
-    metrics::MetricsRegistry::global()
-        .counter_handle(metrics::names::server_error(to_string(e.code())))
-        ->fetch_add(1, std::memory_order_relaxed);
-    wire::MessageHeader header;
-    BytesView body;
-    try {
-      header = wire::decode_frame(frame.view(), body);
-    } catch (...) {
-      header = wire::MessageHeader{};
-    }
-    return error_frame(header, e.code(), e.what());
-  } catch (const std::exception& e) {
-    metrics::MetricsRegistry::global()
-        .counter_handle(metrics::names::server_error(
-            to_string(ErrorCode::remote_application_error)))
-        ->fetch_add(1, std::memory_order_relaxed);
-    wire::MessageHeader header;
-    BytesView body;
-    try {
-      header = wire::decode_frame(frame.view(), body);
-    } catch (...) {
-      header = wire::MessageHeader{};
-    }
-    return error_frame(header, ErrorCode::remote_application_error, e.what());
+  const metrics::DeepTimer timer;
+  if (timer.armed()) {
+    ctx_requests_counter_->fetch_add(1, std::memory_order_relaxed);
   }
+  wire::Buffer reply = [&] {
+    try {
+      return handle_frame_or_throw(frame);
+    } catch (const Error& e) {
+      return error_frame(frame, e.code(), e.what());
+    } catch (const std::exception& e) {
+      return error_frame(frame, ErrorCode::remote_application_error, e.what());
+    }
+  }();
+  timer.record(dispatch_latency_, ctx_dispatch_latency_);
+  return reply;
 }
 
 wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
@@ -408,9 +360,19 @@ wire::Buffer Context::handle_frame_or_throw(const wire::Buffer& frame) {
   return reply_frame;
 }
 
-wire::Buffer Context::error_frame(const wire::MessageHeader& request_header,
+wire::Buffer Context::error_frame(const wire::Buffer& request_frame,
                                   ErrorCode code,
                                   const std::string& message) const {
+  metrics::MetricsRegistry::global()
+      .counter_handle(metrics::names::server_error(to_string(code)))
+      ->fetch_add(1, std::memory_order_relaxed);
+  wire::MessageHeader request_header;
+  BytesView body;
+  try {
+    request_header = wire::decode_frame(request_frame.view(), body);
+  } catch (...) {
+    request_header = wire::MessageHeader{};
+  }
   wire::MessageHeader header;
   header.type = wire::MessageType::error_reply;
   header.request_id = request_header.request_id;
@@ -421,9 +383,9 @@ wire::Buffer Context::error_frame(const wire::MessageHeader& request_header,
     header.flags |= wire::kFlagCorrelation;
     header.correlation_id = request_header.correlation_id;
   }
-  const wire::Buffer body =
+  const wire::Buffer error_body =
       wire::encode_error_body(static_cast<std::uint32_t>(code), message);
-  return wire::encode_frame(header, body.view());
+  return wire::encode_frame(header, error_body.view());
 }
 
 }  // namespace ohpx::orb

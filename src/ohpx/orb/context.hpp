@@ -169,8 +169,10 @@ class Context {
 
  private:
   wire::Buffer handle_frame_or_throw(const wire::Buffer& frame);
-  wire::Buffer error_frame(const wire::MessageHeader& request_header,
-                           ErrorCode code, const std::string& message) const;
+  /// Counts a refused request under server.errors.<code> and answers it
+  /// with an error reply (echoing what of its header still decodes).
+  wire::Buffer error_frame(const wire::Buffer& request_frame, ErrorCode code,
+                           const std::string& message) const;
 
   ContextId id_;
   netsim::MachineId machine_;

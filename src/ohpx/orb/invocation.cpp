@@ -177,7 +177,8 @@ void CallCore::invoke_oneway(std::uint32_t method_id, wire::Buffer args,
 }
 
 CallCore::Selection CallCore::select_for_call(
-    bool use_cache, const std::shared_ptr<resilience::BreakerSet>& breakers) {
+    const std::shared_ptr<resilience::BreakerSet>& breakers) {
+  trace::Span select_span(trace::SpanKind::selection, "select");
   Selection sel;
   std::shared_ptr<const CachedSelection> entry;
 
@@ -193,7 +194,7 @@ CallCore::Selection CallCore::select_for_call(
   bool epoch_probed = false;
   std::uint64_t generation = 0;
   std::uint64_t version = 0;
-  if (use_cache) {
+  if (cacheable_) {
     version = context_.location().version();
     generation = context_.pool().generation();
     {
@@ -237,19 +238,24 @@ CallCore::Selection CallCore::select_for_call(
       sel.proto_counter = entry->calls_by_protocol;
       sel.entry_index = entry->entry_index;
       sel.entry = std::move(entry);
-      sel.from_cache = true;
       cache_hits_->fetch_add(1, std::memory_order_relaxed);
+      if (select_span.armed()) {
+        select_span.annotate("cache:hit");
+        select_span.annotate(sel.protocol->name());
+      }
       return sel;
     }
-  }
-
-  if (use_cache) {
     cache_misses_->fetch_add(1, std::memory_order_relaxed);
     if (!epoch_probed) {
       epoch = context_.location().epoch_of(ref_.object_id());
     }
   }
+
   sel.resolved = resolve_target();
+  // A selection that skipped an entry its breaker refused is not memoized:
+  // while that breaker is open every call re-selects, so the entry gets
+  // its half-open probe on the first call after the cooldown.
+  bool breaker_refused = false;
   if (breakers) {
     sel.protocol = &proto::select_protocol_or_throw(
         protocols_, context_.pool(), sel.resolved, sel.entry_index,
@@ -259,6 +265,7 @@ CallCore::Selection CallCore::select_for_call(
           if (transition == resilience::CircuitBreaker::Transition::probing) {
             trace::event("breaker.probe", protocols_[candidate]->name());
           }
+          breaker_refused |= !admitted;
           return admitted;
         });
   } else {
@@ -266,12 +273,16 @@ CallCore::Selection CallCore::select_for_call(
         protocols_, context_.pool(), sel.resolved, sel.entry_index,
         proto::EntryGate{});
   }
+  if (select_span.armed()) {
+    select_span.annotate(cacheable_ ? "cache:miss" : "cache:off");
+    select_span.annotate(sel.protocol->name());
+  }
   std::string described = sel.protocol->describe();
   sel.proto_counter = metrics::MetricsRegistry::global().counter_handle(
       metrics::names::protocol_calls(sel.protocol->name()));
   sync::LockGuard lock(mutex_);
   last_protocol_ = described;
-  if (use_cache) {
+  if (cacheable_ && !breaker_refused) {
     auto fresh = std::make_shared<CachedSelection>();
     fresh->protocol = sel.protocol;
     fresh->target = sel.resolved;
@@ -283,8 +294,8 @@ CallCore::Selection CallCore::select_for_call(
     fresh->calls_by_protocol = sel.proto_counter;
     cache_ = std::move(fresh);
   } else {
-    cache_.reset();  // never serve a selection cached before the
-                     // toggle or a failed attempt
+    cache_.reset();  // never serve a selection made around a refusing
+                     // breaker or from before a failed attempt
   }
   return sel;
 }
@@ -319,8 +330,7 @@ decltype(auto) CallCore::in_call_scope(std::uint32_t method_id, Body&& body) {
 inline wire::MessageHeader CallCore::begin_attempt(wire::MessageType type,
                                                    std::uint32_t method_id,
                                                    std::int64_t deadline,
-                                                   const Selection& sel,
-                                                   bool use_cache) {
+                                                   const Selection& sel) {
   wire::MessageHeader header;
   header.type = type;
   header.request_id = context_.next_request_id();
@@ -350,15 +360,7 @@ inline wire::MessageHeader CallCore::begin_attempt(wire::MessageType type,
     header.deadline_ns = deadline;
   }
 
-  if (use_cache) {
-    calls_total_->fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Baseline arm: resolve the counter by name on every call, exactly
-    // like the pre-fast-path pipeline.
-    metrics::MetricsRegistry::global()
-        .counter_handle(metrics::names::kRmiCalls)
-        ->fetch_add(1, std::memory_order_relaxed);
-  }
+  calls_total_->fetch_add(1, std::memory_order_relaxed);
   sel.proto_counter->fetch_add(1, std::memory_order_relaxed);
   return header;
 }
@@ -400,13 +402,9 @@ void CallCore::on_transport_failure(const TransportError& error,
 
 inline std::optional<CallCore::ErrorReply> CallCore::settle_reply(
     const proto::ReplyMessage& reply, resilience::BreakerSet* breakers,
-    std::size_t entry_index, const proto::Protocol& protocol,
-    metrics::LatencyHistogram* latency, Nanoseconds elapsed) {
+    std::size_t entry_index, const proto::Protocol& protocol) {
   if (breakers != nullptr) note_success(*breakers, entry_index, protocol);
-  if (reply.header.type == wire::MessageType::reply) {
-    latency->record(elapsed);
-    return std::nullopt;
-  }
+  if (reply.header.type == wire::MessageType::reply) return std::nullopt;
   return decode_error_reply(reply);
 }
 
@@ -448,131 +446,124 @@ void CallCore::drop_cached_selection() {
 wire::Buffer CallCore::invoke_internal(std::uint32_t method_id,
                                        wire::Buffer args, CostLedger* ledger,
                                        bool oneway) {
-  CostLedger local;
-  CostLedger& cost = ledger ? *ledger : local;
-
-  // Pay-when-used profiling: fast-path calls nobody attached a ledger to
-  // skip the fine-grained cost clocks (several steady_clock reads per
-  // call).  The uncached baseline keeps the always-on accounting of the
-  // literal per-request pipeline — it is the fast path's "before" arm.
-  if (!ledger && cacheable_ && cache_enabled_.load(std::memory_order_relaxed)) {
-    local.disable_real_timing();
-  }
-
+  const metrics::DeepTimer timer;
   return in_call_scope(method_id, [&](std::int64_t deadline,
                                        trace::Span&) -> wire::Buffer {
-    const int max_attempts = max_attempts_now();
+    if (resilience::deadline_expired(deadline)) deadline_spent(0);
     const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
-    std::optional<resilience::BackoffSchedule> backoff;
+    Selection sel = select_for_call(breakers);
+    return run_attempts(method_id, args, ledger, oneway, deadline, breakers,
+                        sel, timer);
+  });
+}
 
-    for (int attempt = 0;; ++attempt) {
-      // The budget bounds the *logical* call, retries and backoff waits
-      // included — an expired budget ends the loop no matter how many
-      // attempts the retry policy would still allow.
-      if (resilience::deadline_expired(deadline)) deadline_spent(attempt);
+wire::Buffer CallCore::run_attempts(
+    std::uint32_t method_id, wire::Buffer& args, CostLedger* ledger,
+    bool oneway, std::int64_t deadline,
+    const std::shared_ptr<resilience::BreakerSet>& breakers, Selection& sel,
+    const metrics::DeepTimer& timer) {
+  // Pay-when-used profiling: the fine-grained cost clocks (several
+  // steady_clock reads per call) run only for a caller that attached a
+  // ledger.
+  CostLedger local;
+  if (!ledger) local.disable_real_timing();
+  CostLedger& cost = ledger ? *ledger : local;
 
-      const bool use_cache =
-          cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
+  const int max_attempts = max_attempts_now();
+  std::optional<resilience::BackoffSchedule> backoff;
 
-      trace::Span select_span(trace::SpanKind::selection, "select");
-      Selection sel = select_for_call(use_cache, breakers);
-      proto::Protocol* protocol = sel.protocol;
-      if (select_span.armed()) {
-        select_span.annotate(sel.from_cache ? "cache:hit"
-                             : use_cache    ? "cache:miss"
-                                            : "cache:off");
-        select_span.annotate(protocol->name());
-      }
-      select_span.end();
+  for (int attempt = 0;; ++attempt) {
+    proto::Protocol* const protocol = sel.protocol;
+    const wire::MessageHeader header = begin_attempt(
+        oneway ? wire::MessageType::oneway : wire::MessageType::request,
+        method_id, deadline, sel);
 
-      const wire::MessageHeader header = begin_attempt(
-          oneway ? wire::MessageType::oneway : wire::MessageType::request,
-          method_id, deadline, sel, use_cache);
+    // Zero-copy handoff: the protocol works on the caller's buffer in
+    // place.  Only when the protocol destroys the payload (glue) *and* a
+    // retry is still possible do we stash a pristine copy.
+    const bool may_retry = attempt + 1 < max_attempts;
+    wire::Buffer retry_stash;
+    if (may_retry && !protocol->preserves_payload()) {
+      retry_stash = wire::Buffer(args.bytes());
+    }
+    // Every retry below: count it, flight-record it, wait out the policy
+    // backoff, restore a payload the protocol consumed, and re-select.  The
+    // budget bounds the *logical* call, retries and backoff waits included
+    // — an expired budget ends the loop no matter how many attempts the
+    // retry policy would still allow.
+    auto prepare_retry = [&](ErrorCode code, std::string_view why) {
+      retries_->fetch_add(1, std::memory_order_relaxed);
+      introspect::FlightRecorder::global().record(
+          introspect::EventKind::retry, code, why);
+      wait_backoff(backoff, cost);
+      if (!protocol->preserves_payload()) args = std::move(retry_stash);
+      if (resilience::deadline_expired(deadline)) deadline_spent(attempt + 1);
+      sel = select_for_call(breakers);
+    };
 
-      // Zero-copy handoff: the protocol works on the caller's buffer in
-      // place.  Only when the protocol destroys the payload (glue) *and* a
-      // retry is still possible do we stash a pristine copy.
-      const bool may_retry = attempt + 1 < max_attempts;
-      wire::Buffer retry_stash;
-      if (may_retry && !protocol->preserves_payload()) {
-        retry_stash = wire::Buffer(args.bytes());
-      }
-      // Every retry below: count it, flight-record it, wait out the policy
-      // backoff, and restore a payload the protocol consumed.
-      auto prepare_retry = [&](ErrorCode code, std::string_view why) {
-        retries_->fetch_add(1, std::memory_order_relaxed);
-        introspect::FlightRecorder::global().record(
-            introspect::EventKind::retry, code, why);
-        wait_backoff(backoff, cost);
-        if (!protocol->preserves_payload()) args = std::move(retry_stash);
-      };
-
-      proto::ReplyMessage reply;
-      try {
-        reply = protocol->invoke(header, args, sel.target(), cost);
-      } catch (const DeadlineExceeded&) {
-        drop_cached_selection();
-        deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
-        throw;
-      } catch (const TransportError& e) {
-        on_transport_failure(e, breakers.get(), sel.entry_index, *protocol);
-        drop_cached_selection();
-        // Retry on transient channel faults under the retry policy: a
-        // memoized selection can outlive an endpoint (listener torn down,
-        // context destroyed), and a fresh re-evaluation is exactly what an
-        // uncached call would have done.  Non-retryable errors — capability
-        // denials above all — propagate unchanged, cached or not.
-        if (may_retry && resilience::is_retryable(e.code())) {
-          trace::event("retry.transport", "cached endpoint gone, re-selecting");
-          prepare_retry(e.code(), "transport fault, re-selecting");
-          continue;
-        }
-        throw;
-      } catch (const Error& e) {
-        drop_cached_selection();
-        // Client-side detection of a damaged exchange — a reply that fails
-        // framing (wire_bad_checksum) or capability verification
-        // (capability_bad_payload) — is as transient as a channel fault: the
-        // re-send is a fresh frame.  Refusals (auth, quota, lease) are
-        // decisions and fall through to the throw.
-        if (may_retry && resilience::is_retryable(e.code())) {
-          trace::event("retry.error", to_string(e.code()));
-          prepare_retry(e.code(), "damaged exchange, re-sending");
-          continue;
-        }
-        throw;
-      }
-
-      metrics::LatencyHistogram* const latency =
-          use_cache ? latency_
-                    : metrics::MetricsRegistry::global().latency_handle(
-                          metrics::names::kRmiLatency);
-      const std::optional<ErrorReply> error =
-          settle_reply(reply, breakers.get(), sel.entry_index, *protocol,
-                       latency, cost.total());
-      if (!error) return std::move(reply.payload);
-      if (may_retry && resilience::is_retryable(error->code)) {
-        // A failed attempt must never leave its selection memoized (for
-        // stale references the republish that made us stale already bumped
-        // the epoch, but drop the entry explicitly so the retry always
-        // re-selects).
-        drop_cached_selection();
-        if (error->code == ErrorCode::stale_reference) {
-          trace::event("retry.stale_ref", "object migrated, re-resolving");
-          log_debug("orb", "stale reference for object ", ref_.object_id(),
-                    ", re-resolving (attempt ", attempt + 1, ")");
-        } else {
-          trace::event("retry.error_reply", to_string(error->code));
-          log_debug("orb", "retryable error reply (", to_string(error->code),
-                    ") for object ", ref_.object_id(), " (attempt ",
-                    attempt + 1, ")");
-        }
-        prepare_retry(error->code, "retryable error reply");
+    proto::ReplyMessage reply;
+    try {
+      reply = protocol->invoke(header, args, sel.target(), cost);
+    } catch (const DeadlineExceeded&) {
+      drop_cached_selection();
+      deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
+      throw;
+    } catch (const TransportError& e) {
+      on_transport_failure(e, breakers.get(), sel.entry_index, *protocol);
+      drop_cached_selection();
+      // Retry on transient channel faults under the retry policy: a
+      // memoized selection can outlive an endpoint (listener torn down,
+      // context destroyed), and a fresh re-evaluation is exactly what an
+      // uncached call would have done.  Non-retryable errors — capability
+      // denials above all — propagate unchanged, cached or not.
+      if (may_retry && resilience::is_retryable(e.code())) {
+        trace::event("retry.transport", "cached endpoint gone, re-selecting");
+        prepare_retry(e.code(), "transport fault, re-selecting");
         continue;
       }
-      raise_error_reply(*error);
+      throw;
+    } catch (const Error& e) {
+      drop_cached_selection();
+      // Client-side detection of a damaged exchange — a reply that fails
+      // framing (wire_bad_checksum) or capability verification
+      // (capability_bad_payload) — is as transient as a channel fault: the
+      // re-send is a fresh frame.  Refusals (auth, quota, lease) are
+      // decisions and fall through to the throw.
+      if (may_retry && resilience::is_retryable(e.code())) {
+        trace::event("retry.error", to_string(e.code()));
+        prepare_retry(e.code(), "damaged exchange, re-sending");
+        continue;
+      }
+      throw;
     }
-  });
+
+    const std::optional<ErrorReply> error =
+        settle_reply(reply, breakers.get(), sel.entry_index, *protocol);
+    if (!error) {
+      timer.record(latency_);
+      return std::move(reply.payload);
+    }
+    if (may_retry && resilience::is_retryable(error->code)) {
+      // A failed attempt must never leave its selection memoized (for
+      // stale references the republish that made us stale already bumped
+      // the epoch, but drop the entry explicitly so the retry always
+      // re-selects).
+      drop_cached_selection();
+      if (error->code == ErrorCode::stale_reference) {
+        trace::event("retry.stale_ref", "object migrated, re-resolving");
+        log_debug("orb", "stale reference for object ", ref_.object_id(),
+                  ", re-resolving (attempt ", attempt + 1, ")");
+      } else {
+        trace::event("retry.error_reply", to_string(error->code));
+        log_debug("orb", "retryable error reply (", to_string(error->code),
+                  ") for object ", ref_.object_id(), " (attempt ",
+                  attempt + 1, ")");
+      }
+      prepare_retry(error->code, "retryable error reply");
+      continue;
+    }
+    raise_error_reply(*error);
+  }
 }
 
 Future<wire::Buffer> CallCore::invoke_async_raw(std::uint32_t method_id,
@@ -605,35 +596,46 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
     // version probe plus the breaker gate — instead of paying a re-resolve,
     // a table scan, a describe() build and a metric-name lookup per call.
     const std::shared_ptr<resilience::BreakerSet> breakers = breaker_set();
-    const bool use_cache =
-        cacheable_ && cache_enabled_.load(std::memory_order_relaxed);
-    Selection sel = select_for_call(use_cache, breakers);
+    Selection sel = select_for_call(breakers);
     proto::Protocol* const protocol = sel.protocol;
 
     if (!protocol->supports_async()) {
       // Worker-thread fallback for protocols without an event-driven
       // bearer: the full synchronous pipeline (counters, retries, breakers,
-      // error replies) runs on a shared pool thread, with the caller's
-      // deadline and trace context carried across explicitly (thread-ambient
-      // state does not follow the task).  The ticket records that nothing is
-      // left for finish_async_reply() but handing over the payload.
+      // error replies) runs on a shared pool thread, its first attempt on
+      // this selection (selecting again would count a second selection and
+      // could take a half-open breaker's probe slot twice), inside this
+      // call's scope: the caller's deadline and trace context are carried
+      // across explicitly (thread-ambient state does not follow the task),
+      // and the pool thread's spans parent under this rmi.invoke.  The ticket
+      // records that nothing is left for finish_async_reply() but handing
+      // over the payload.
       ticket.pipeline_complete = true;
-      auto args_holder = std::make_shared<wire::Buffer>(std::move(args));
+      struct PooledCall {
+        wire::Buffer args;
+        Selection sel;
+        std::shared_ptr<resilience::BreakerSet> breakers;
+      };
+      auto call = std::make_shared<PooledCall>(
+          PooledCall{std::move(args), std::move(sel), breakers});
       const trace::TraceContext tctx = trace::TraceSink::active()
                                            ? trace::current_context()
                                            : trace::TraceContext{};
       Promise<proto::ReplyMessage> promise;
-      ThreadPool::shared().submit([this, method_id, args_holder, promise,
-                                   deadline, tctx]() mutable {
+      ThreadPool::shared().submit([this, method_id, call, promise, deadline,
+                                   tctx]() mutable {
         try {
+          const metrics::DeepTimer timer;
           resilience::DeadlineScope deadline_scope(deadline);
           std::optional<trace::ContextScope> trace_join;
           if (tctx.valid()) trace_join.emplace(tctx);
+          if (resilience::deadline_expired(deadline)) deadline_spent(0);
           proto::ReplyMessage done;
           done.header.type = wire::MessageType::reply;
-          done.payload = invoke_internal(method_id, std::move(*args_holder),
-                                         /*ledger=*/nullptr,
-                                         /*oneway=*/false);
+          done.payload = run_attempts(method_id, call->args,
+                                      /*ledger=*/nullptr, /*oneway=*/false,
+                                      deadline, call->breakers, call->sel,
+                                      timer);
           promise.set_value(std::move(done));
         } catch (...) {
           promise.set_exception(std::current_exception());
@@ -642,8 +644,8 @@ Future<proto::ReplyMessage> CallCore::invoke_async_reply(
       return promise.future();
     }
 
-    const wire::MessageHeader header = begin_attempt(
-        wire::MessageType::request, method_id, deadline, sel, use_cache);
+    const wire::MessageHeader header =
+        begin_attempt(wire::MessageType::request, method_id, deadline, sel);
     Future<proto::ReplyMessage> exchange;
     try {
       exchange = protocol->invoke_async(header, args, sel.target());
@@ -691,10 +693,12 @@ wire::Buffer CallCore::finish_async_reply(Future<proto::ReplyMessage> settled,
   // The reactor's future passed through the protocol unchecked, so the
   // reply check the sync bearers make falls to this settlement.
   proto::check_reply(reply.header, ticket.expect_request_id);
-  const std::optional<ErrorReply> error =
-      settle_reply(reply, ticket.breakers.get(), ticket.entry_index,
-                   *ticket.protocol, async_latency_, ticket.watch.elapsed());
-  if (!error) return std::move(reply.payload);
+  const std::optional<ErrorReply> error = settle_reply(
+      reply, ticket.breakers.get(), ticket.entry_index, *ticket.protocol);
+  if (!error) {
+    async_latency_->record(ticket.watch.elapsed());
+    return std::move(reply.payload);
+  }
   raise_error_reply(*error);
 }
 

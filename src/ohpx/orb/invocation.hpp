@@ -17,7 +17,9 @@
 // the describe() string build and the per-call metric-name lookups.
 // References carrying a protocol whose applicability depends on state
 // outside that key (Protocol::applicability_is_stable() == false, e.g.
-// relay) are never cached.
+// relay) are never cached, and neither is a selection that skipped an
+// entry whose breaker refused it (so the entry gets its half-open probe on
+// the first call after the cooldown).
 #pragma once
 
 #include <atomic>
@@ -123,16 +125,6 @@ class CallCore {
   /// Always performs a full re-evaluation (never consults the cache).
   std::string probe_protocol() const;
 
-  /// Toggles the memoized selection fast path (on by default).  Off means
-  /// every call re-resolves and re-scans exactly like the paper's literal
-  /// rule — the benchmark baseline.
-  void set_selection_cache(bool enabled) noexcept {
-    cache_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool selection_cache_enabled() const noexcept {
-    return cache_enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Per-GP trace sampling override (innermost steering point: wins over
   /// the context override and the global sink mode).
   void set_trace_sampling(trace::Sampling mode, double ratio = 1.0) noexcept {
@@ -205,24 +197,34 @@ class CallCore {
     std::shared_ptr<const CachedSelection> entry;  // non-null on hits
     metrics::MetricsRegistry::Counter* proto_counter = nullptr;
     std::size_t entry_index = 0;
-    bool from_cache = false;
 
     const proto::CallTarget& target() const noexcept {
       return entry ? entry->target : resolved;
     }
   };
 
-  /// The memoized protocol selection shared by the sync and async paths:
-  /// probe the invalidation signals, revalidate or drop the cached entry,
-  /// gate it through its breaker, and fall back to a full re-selection
-  /// (filling the cache) on a miss.  Bumps cache_hits_/cache_misses_ and
+  /// The one protocol selection of every attempt, sync or async, under a
+  /// "select" span: for a cacheable reference, probe the invalidation
+  /// signals, revalidate or drop the cached entry and gate it through its
+  /// breaker; on a miss (or for a never-cached reference) re-select in
+  /// full, filling the cache unless a breaker refused an entry.  Bumps
+  /// cache_hits_/cache_misses_ (cacheable references only) and
   /// last_protocol_.
   Selection select_for_call(
-      bool use_cache,
       const std::shared_ptr<resilience::BreakerSet>& breakers);
 
   wire::Buffer invoke_internal(std::uint32_t method_id, wire::Buffer args,
                                CostLedger* ledger, bool oneway);
+
+  /// The sync pipeline's attempt loop, once the call's deadline was
+  /// checked: the first attempt runs on `sel` (the caller's selection),
+  /// each retry re-selects into it.  A value reply records the
+  /// wall time since `timer` started into rmi.latency.
+  wire::Buffer run_attempts(
+      std::uint32_t method_id, wire::Buffer& args, CostLedger* ledger,
+      bool oneway, std::int64_t deadline,
+      const std::shared_ptr<resilience::BreakerSet>& breakers,
+      Selection& sel, const metrics::DeepTimer& timer);
 
   /// The call prologue both paths run first, around the whole logical
   /// call: mints this call's deadline from the budget, tightened against
@@ -239,7 +241,7 @@ class CallCore {
   wire::MessageHeader begin_attempt(wire::MessageType type,
                                     std::uint32_t method_id,
                                     std::int64_t deadline,
-                                    const Selection& sel, bool use_cache);
+                                    const Selection& sel);
 
   /// Throws DeadlineExceeded, counted and flight-recorded: the call's
   /// deadline passed before attempt `attempts` (callers test
@@ -263,14 +265,12 @@ class CallCore {
   /// The reply settlement of both paths, for a reply that passed the reply
   /// check.  Any reply — even an error reply — proves the channel works,
   /// so the entry's breaker records a success (closing a half-open one).
-  /// A value reply records `elapsed` into `latency` and yields nothing; an
-  /// error reply is decoded, counted under rmi.errors.<code>, and returned.
+  /// A value reply yields nothing; an error reply is decoded, counted under
+  /// rmi.errors.<code>, and returned.
   std::optional<ErrorReply> settle_reply(const proto::ReplyMessage& reply,
                                          resilience::BreakerSet* breakers,
                                          std::size_t entry_index,
-                                         const proto::Protocol& protocol,
-                                         metrics::LatencyHistogram* latency,
-                                         Nanoseconds elapsed);
+                                         const proto::Protocol& protocol);
   // settle_reply's off-hot-path halves.
   void note_success(resilience::BreakerSet& breakers, std::size_t entry_index,
                     const proto::Protocol& protocol);
@@ -303,7 +303,6 @@ class CallCore {
   std::vector<proto::ProtocolPtr> protocols_;  // built once, reused (keeps
                                                // client capability state)
   bool cacheable_ = true;  // all table entries have stable applicability
-  std::atomic<bool> cache_enabled_{true};
   trace::SamplingOverride trace_sampling_;
 
   // Resilience state.  The deadline budget is one relaxed load per call;

@@ -51,12 +51,6 @@ class ObjectStub {
     return core_->probe_protocol();
   }
 
-  /// Toggles the memoized protocol-selection fast path (on by default).
-  void set_selection_cache(bool enabled) {
-    ensure_bound();
-    core_->set_selection_cache(enabled);
-  }
-
   /// Per-GP trace sampling override (paper's steering contract applied to
   /// observability): always / ratio / off for calls through this stub,
   /// winning over the context override and the global sink mode.

@@ -398,5 +398,26 @@ TEST_F(AsyncTransportFixture, PoolFallbackCountsOneCall) {
   EXPECT_EQ(counter_value("rmi.calls.shm"), shm_before + 1);
 }
 
+TEST_F(AsyncTransportFixture, PoolFallbackSelectsOnce) {
+  // The pool thread's pipeline runs its first attempt on the selection the
+  // caller made: one selection (a cache hit or miss) per call.
+  orb::Context& local_ctx = world_.create_context(m_client_);
+  EchoStub stub(*client_ctx_,
+                orb::RefBuilder(local_ctx, std::make_shared<EchoServant>())
+                    .shm()
+                    .build());
+  const std::uint64_t before = counter_value("rmi.select.cache_hit") +
+                               counter_value("rmi.select.cache_miss");
+
+  constexpr std::uint64_t kCalls = 10;
+  for (std::uint64_t i = 1; i <= kCalls; ++i) {
+    EXPECT_EQ(stub.call_async<std::uint64_t>(EchoServant::kPing).get(), i);
+  }
+
+  EXPECT_EQ(counter_value("rmi.select.cache_hit") +
+                counter_value("rmi.select.cache_miss") - before,
+            kCalls);
+}
+
 }  // namespace
 }  // namespace ohpx

@@ -87,23 +87,19 @@ TEST(Registry, SnapshotCapturesEverything) {
   EXPECT_EQ(snap.latency_quantiles.at("lat").p99_us, 16u);
 }
 
-TEST(Registry, ScopedLatencyViaInternedHandle) {
+TEST(Registry, DeepTimerRecordsOneSampleIntoBothHistograms) {
+  enable_deep_timing();
   MetricsRegistry registry;
-  LatencyHistogram* handle = registry.latency_handle("interned");
-  { ScopedLatency sample(handle); }
-  EXPECT_EQ(handle->count(), 1u);
-  EXPECT_EQ(registry.histogram("interned"), handle);
-}
-
-TEST(Registry, ScopedLatencyRecords) {
-  MetricsRegistry registry;
-  {
-    ScopedLatency sample(registry, "scoped");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_NE(registry.histogram("scoped"), nullptr);
-  EXPECT_EQ(registry.histogram("scoped")->count(), 1u);
-  EXPECT_GE(registry.histogram("scoped")->mean().count(), 500'000);
+  LatencyHistogram* first = registry.latency_handle("timed.first");
+  LatencyHistogram* second = registry.latency_handle("timed.second");
+  const DeepTimer timer;
+  ASSERT_TRUE(timer.armed());
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  timer.record(first, second);
+  EXPECT_EQ(first->count(), 1u);
+  EXPECT_EQ(second->count(), 1u);
+  EXPECT_GE(first->mean().count(), 500'000);
+  EXPECT_EQ(first->total(), second->total()) << "one clock reading";
 }
 
 TEST(Registry, ThreadSafeIncrements) {
@@ -149,6 +145,7 @@ TEST(OrbInstrumentation, CallsAndProtocolsCounted) {
 
   auto ref = orb::RefBuilder(server, std::make_shared<EchoServant>()).build();
   EchoPointer gp(client, ref);
+  enable_deep_timing();  // rmi.latency is deep instrumentation
   gp->ping();
   gp->ping();
 
@@ -165,6 +162,33 @@ TEST(OrbInstrumentation, CallsAndProtocolsCounted) {
   EXPECT_EQ(registry.counter("rmi.errors.remote_application_error"), 1u);
   EXPECT_EQ(registry.counter("server.errors.remote_application_error"), 1u);
   registry.reset();
+}
+
+// rmi.latency is the call's wall time, recorded on every value reply while
+// deep timing is armed — also on the memoized shm fast path, whose cost
+// ledger runs no real-time clocks.
+TEST(OrbInstrumentation, RmiLatencyIsWallTimeOnTheCachedPath) {
+  enable_deep_timing();
+  runtime::World world;
+  const auto lan = world.add_lan("lan");
+  const auto box = world.add_machine("box", lan);
+  orb::Context& client = world.create_context(box);
+  orb::Context& server = world.create_context(box);
+  EchoPointer gp(client,
+                 orb::RefBuilder(server, std::make_shared<EchoServant>())
+                     .shm()
+                     .build());
+  gp->ping();  // fill the selection cache
+  LatencyHistogram* latency =
+      MetricsRegistry::global().latency_handle("rmi.latency");
+  latency->reset();
+
+  constexpr std::uint64_t kCalls = 50;
+  for (std::uint64_t i = 0; i < kCalls; ++i) gp->ping();
+
+  EXPECT_EQ(gp->last_protocol(), "shm");
+  EXPECT_EQ(latency->count(), kCalls);
+  EXPECT_GT(latency->mean().count(), 0);
 }
 
 // The reactor's internal counters must surface in the ordinary registry

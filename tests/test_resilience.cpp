@@ -515,10 +515,6 @@ TEST_F(ResilienceFixture, BreakerRecoversAfterCooldownProbe) {
   servant_ = std::make_shared<EchoServant>();
   auto ref = orb::RefBuilder(*server_ctx_, servant_).nexus().tcp().build();
   EchoPointer gp(*client_ctx_, ref);
-  // The selection cache would pin the failover winner until the next
-  // invalidation (see docs/resilience.md); disable it so every call
-  // re-evaluates the table and the recovered entry gets its probe.
-  gp->set_selection_cache(false);
   resilience::BreakerConfig config;
   config.failure_threshold = 1;
   config.cooldown = 100ms;
@@ -548,6 +544,37 @@ TEST_F(ResilienceFixture, BreakerRecoversAfterCooldownProbe) {
   EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
   EXPECT_EQ(gp->breaker_state(0), resilience::CircuitBreaker::State::closed);
   EXPECT_EQ(gp->ping(), 4u);
+  EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
+}
+
+TEST_F(ResilienceFixture, AsyncFallbackProbeClosesTheBreaker) {
+  resilience::ScopedManualClock scoped;
+  server_ctx_->enable_tcp();
+  servant_ = std::make_shared<EchoServant>();
+  auto ref = orb::RefBuilder(*server_ctx_, servant_).nexus().tcp().build();
+  EchoPointer gp(*client_ctx_, ref);
+  resilience::BreakerConfig config;
+  config.failure_threshold = 1;
+  config.cooldown = 100ms;
+  gp->set_breaker_config(config);
+
+  const auto original = sabotage_endpoint(
+      [](const wire::Buffer&) -> wire::Buffer {
+        throw TransportError(ErrorCode::transport_closed, "nexus is down");
+      });
+  EXPECT_EQ(gp->ping(), 1u);
+  ASSERT_EQ(gp->breaker_state(0), resilience::CircuitBreaker::State::open);
+  restore_endpoint(original);
+  scoped.clock().advance(100ms);
+
+  // nexus has no event-driven bearer, so call_async runs the sync pipeline
+  // on a pool thread.  Its first attempt is the caller's selection — the
+  // half-open probe — not a second selection that would find the probe
+  // slot taken, fail over to tcp and leave the breaker half open for good.
+  EXPECT_EQ(gp->call_async<std::uint64_t>(EchoServant::kPing).get(), 2u);
+  EXPECT_EQ(gp->breaker_state(0), resilience::CircuitBreaker::State::closed);
+  EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
+  EXPECT_EQ(gp->ping(), 3u);
   EXPECT_EQ(gp->last_protocol(), "nexus-tcp");
 }
 

@@ -364,11 +364,10 @@ SPAN_CALL_RE = re.compile(r"\bSpan\s+\w+\s*\(")
 EVENT_CALL_RE = re.compile(r"\b(?:trace\s*::\s*)?event\s*\(")
 NAME_LITERAL_RE = re.compile(r'"([a-z0-9_.]+)"')
 
-# Metric registry call sites (handles, convenience wrappers, and the RAII
-# timer in both its named-variable and temporary spellings).
+# Metric registry call sites (handles and convenience wrappers; the
+# deep-timing timer takes histogram handles, never names).
 METRIC_CALL_RE = re.compile(
-    r"\b(?:counter_handle|latency_handle|increment|record_latency)\s*\(|"
-    r"\bScopedLatency(?:\s+\w+)?\s*\(")
+    r"\b(?:counter_handle|latency_handle|increment|record_latency)\s*\(")
 # Metric names are dotted lowercase ("rmi.calls"); requiring a dot keeps
 # ordinary string arguments from tripping the rule.
 METRIC_LITERAL_RE = re.compile(r'"([a-z0-9_]+(?:\.[a-z0-9_.]+)+)"')
@@ -535,7 +534,7 @@ class ConsistencyChecker:
         """Every metric-registry call site in src/ outside src/ohpx/metrics/
         must reach its name through metric_names.hpp — a raw dotted string
         literal at counter_handle()/latency_handle()/increment()/
-        record_latency()/ScopedLatency drifts out of the exporter's,
+        record_latency() drifts out of the exporter's,
         ohpx-top's and the tests' shared vocabulary silently."""
         src = self.root / "src"
         for source in sorted(src.rglob("*.hpp")) + sorted(src.rglob("*.cpp")):
